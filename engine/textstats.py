@@ -2,6 +2,11 @@
 token counting, quality scoring (SQL-mirrorable so DuckDB can oracle
 them) -- all vectorized pandas/numpy inside ``map_batches``.
 
+The six counts come from a numpy byte kernel over the batch's UTF-8
+buffer for every ASCII row; only rows holding a non-ASCII byte go
+through the regex path, so the fallback is per row, not per batch
+(:meth:`TextStats.counts`).
+
 Definitions are chosen to be *exactly* expressible in DuckDB (see
 ``__ray_entry__.oracle_sql``):
 
@@ -103,10 +108,11 @@ _STOP_PACKS = np.sort(
 #: byte -> class bits: 1 alpha, 2 digit, 4 ascii-ws, 8 upper.
 #: The whitespace set is Python's unicode ``\s`` restricted to ASCII --
 #: \t\n\v\f\r, space, AND the four separator controls \x1c-\x1f (FS GS
-#: RS US) -- because the fast path's contract is byte-exact parity with
-#: the regex fallback (same set as dedup._WS_BYTES; omitting \x1c-\x1f
-#: made the same document count differently depending on whether its
-#: batch happened to contain a non-ASCII byte elsewhere).
+#: RS US; same set as dedup._WS_BYTES). The byte kernel counts every
+#: ASCII row and the regex path every other row, so the two must agree
+#: byte for byte on ASCII text: any difference would make a row's counts
+#: depend on which path its batch sent it down (omitting \x1c-\x1f once
+#: did exactly that).
 _CLS = np.zeros(256, np.uint8)
 _CLS[65:91] |= 1 | 8
 _CLS[97:123] |= 1
@@ -127,12 +133,10 @@ _SPAN = 128 * 1024
 
 
 def string_buffer(s: pd.Series):
-    """(bytes, normalized int64 offsets) of a pandas string Series, or
-    None when any byte is non-ASCII (or the batch exceeds the int32
-    string-offset capacity -- callers fall back to the regex path
-    either way)."""
-    import pyarrow.compute as pc
-
+    """(bytes, normalized int64 offsets) of a pandas string Series
+    (NULL -> ''), or None when the batch cannot form one Arrow string
+    array: lone-surrogate rows, or more text than the int32 string
+    offsets hold. Non-ASCII bytes are returned as they are."""
     try:
         arr = pa.array(s, type=pa.string())
     except (pa.lib.ArrowCapacityError, pa.lib.ArrowInvalid, UnicodeEncodeError):
@@ -147,8 +151,6 @@ def string_buffer(s: pd.Series):
     off = np.frombuffer(off_buf, dtype=off_dtype)[arr.offset : arr.offset + len(arr) + 1]
     lo, hi = int(off[0]), int(off[-1])
     b = np.frombuffer(data_buf, dtype=np.uint8)[lo:hi] if data_buf is not None else np.zeros(0, np.uint8)
-    if len(b) and int(b.max()) >= 0x80:
-        return None
     return b, off.astype(np.int64) - lo
 
 
@@ -242,37 +244,20 @@ def _span_counts(b: np.ndarray, off: np.ndarray):
     return n_chars, n_tokens, n_words, n_alpha, n_punct, n_stop
 
 
-def _ascii_fast_counts(s: pd.Series):
-    """All six counts in O(bytes) numpy over the utf-8 buffer -- no
-    regex. Returns None when the block contains any non-ASCII byte
-    (callers fall back to the regex path; byte-level char classes and
+def _byte_counts(b: np.ndarray, off: np.ndarray):
+    """All six counts in O(bytes) numpy over a :func:`string_buffer`
+    buffer -- no regex. Exact for every row whose bytes are all ASCII;
+    a row holding a non-ASCII byte gets counts of no meaning, which
+    :meth:`TextStats.counts` overwrites (byte-level char classes and
     Python's unicode ``\\s``/token semantics only coincide on ASCII).
+    Tokens never cross a row boundary, so such a row cannot change its
+    neighbours' counts.
 
     Definitions mirror the regex path EXACTLY (fuzz-tested): token =
     ``\\S+`` run, word = letter-run | digit-run | single other-non-ws
     char, stopword = whole token equal to one of the 25 words after
     ASCII lowercasing. Work is cache-blocked into ``_SPAN``-byte row
-    chunks (see the constant's comment).
-
-    DEFAULT-ON since r3 (``GRAFT_FAST_KERNELS=0`` restores the regex
-    path). Round 2 measured the byte path "equal-at-best and wildly
-    variant" at 32 workers and made it opt-in; r3 traced that entirely
-    to ``_per_row``'s integer ``add.reduceat`` (this numpy's integer
-    reduceat loops are 3-24x slower than its float32 SIMD path -- the
-    same pathology that made simhash scale inversely). With float32
-    accumulation the byte path is stable AND faster at both levels:
-    interleaved 3-trial A/B on the 2.4M-row bench input measured
-    fast 7.2-8.3s vs regex 20.2-22.8s at 8 workers, fast 3.0-6.1s vs
-    regex 7.0-8.0s at 32."""
-    import os
-
-    if os.environ.get("GRAFT_FAST_KERNELS", "1") == "0":
-        return None
-    buf = string_buffer(s)
-    if buf is None:
-        return None
-    b, off = buf
-    n = len(off) - 1
+    chunks (see the constant's comment)."""
     if len(b) <= _SPAN:
         return _span_counts(b, off)
     parts = [
@@ -297,41 +282,63 @@ class TextStats:
         alt = "|".join(sorted(STOPWORDS, key=len, reverse=True))
         self.stop_rx = re.compile(rf"(?<![^\s])(?:{alt})(?![^\s])")
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        s = batch[self.text_col].fillna("")
-        fast = _ascii_fast_counts(s)
-        if fast is not None:
-            n_chars, n_tokens, n_words, n_alpha, n_punct, n_stop = (
-                pd.Series(a, index=s.index) for a in fast
-            )
-        else:
-            n_chars = s.str.len().astype("int64")
-            n_tokens = s.str.count(self.tok).astype("int64")
-            n_words = s.str.count(self.word).astype("int64")
-            n_alpha = s.str.count(self.alpha).astype("int64")
-            n_punct = s.str.count(self.punct).astype("int64")
-            # lower with DuckDB/utf8proc semantics (sql_lower): Python
-            # str.lower maps İ to TWO codepoints and would miss the
-            # stopword the oracle's lower('İT') = 'it' finds. The
-            # pure-ASCII byte path can never see such codepoints, so
-            # the two engine paths stay mutually consistent.
-            try:
-                low = pd.Series(
-                    pc.utf8_lower(pa.array(s, type=pa.string())).to_pandas().values,
-                    index=s.index,
-                )
-            except (pa.lib.ArrowCapacityError, pa.lib.ArrowInvalid, UnicodeEncodeError):
-                # >2GiB block or surrogate-bearing rows: degrade to the
-                # Python lower per-batch rather than crash (ADVICE #1)
-                low = s.str.lower()
-            n_stop = low.str.count(self.stop_rx).astype("int64")
+    def counts(self, s: pd.Series):
+        """The six counts (n_chars, n_tokens, n_words, n_alpha, n_punct,
+        n_stop) of a NULL-free string Series as int64 arrays. ASCII rows
+        take the byte kernel, the rest :meth:`regex_counts`; each row
+        gets what it would get in a batch of its own."""
+        buf = string_buffer(s)
+        if buf is None:
+            return self.regex_counts(s)
+        b, off = buf
+        n = len(off) - 1
+        nonascii = _per_row(b >= 0x80, off, n) > 0
+        if n and nonascii.all():
+            return self.regex_counts(s)
+        out = _byte_counts(b, off)
+        rows = np.flatnonzero(nonascii)
+        if len(rows):
+            for a, r in zip(out, self.regex_counts(s.iloc[rows])):
+                a[rows] = r
+        return out
 
-        nc = n_chars.to_numpy().astype(np.float64)
-        nt = n_tokens.to_numpy().astype(np.float64)
+    def regex_counts(self, s: pd.Series):
+        """The six counts by Python regex over unicode text: the path
+        for non-ASCII rows and the reference the byte kernel is tested
+        against."""
+        n_chars = s.str.len()
+        n_tokens = s.str.count(self.tok)
+        n_words = s.str.count(self.word)
+        n_alpha = s.str.count(self.alpha)
+        n_punct = s.str.count(self.punct)
+        # lower with DuckDB/utf8proc semantics (sql_lower): Python
+        # str.lower maps İ to TWO codepoints and would miss the
+        # stopword the oracle's lower('İT') = 'it' finds. ASCII rows
+        # (the byte kernel's) can never hold such codepoints, so the
+        # two paths stay mutually consistent.
+        try:
+            low = pd.Series(
+                pc.utf8_lower(pa.array(s, type=pa.string())).to_pandas().values,
+                index=s.index,
+            )
+        except (pa.lib.ArrowCapacityError, pa.lib.ArrowInvalid, UnicodeEncodeError):
+            # >2GiB block or surrogate-bearing rows: degrade to the
+            # Python lower per-batch rather than crash (ADVICE #1)
+            low = s.str.lower()
+        n_stop = low.str.count(self.stop_rx)
+        return tuple(
+            c.to_numpy().astype(np.int64)
+            for c in (n_chars, n_tokens, n_words, n_alpha, n_punct, n_stop)
+        )
+
+    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
+        n_chars, n_tokens, n_words, n_alpha, n_punct, n_stop = self.counts(
+            batch[self.text_col].fillna("")
+        )
         with np.errstate(divide="ignore", invalid="ignore"):
-            alpha_ratio = np.where(nc > 0, n_alpha / nc, 0.0)
-            punct_ratio = np.where(nc > 0, n_punct / nc, 0.0)
-            stop_ratio = np.where(nt > 0, n_stop / nt, 0.0)
+            alpha_ratio = np.where(n_chars > 0, n_alpha / n_chars, 0.0)
+            punct_ratio = np.where(n_chars > 0, n_punct / n_chars, 0.0)
+            stop_ratio = np.where(n_tokens > 0, n_stop / n_tokens, 0.0)
         batch = batch.assign(
             n_chars=n_chars,
             n_tokens=n_tokens,
@@ -340,9 +347,7 @@ class TextStats:
             punct_ratio=punct_ratio,
             stop_ratio=stop_ratio,
         )
-        batch["quality"] = quality_score(
-            batch["n_tokens"].to_numpy(), alpha_ratio, punct_ratio, stop_ratio
-        )
+        batch["quality"] = quality_score(n_tokens, alpha_ratio, punct_ratio, stop_ratio)
         return batch
 
 

@@ -1,7 +1,10 @@
 """CSV-parity front-end (M6): dialect detection, layout heuristic,
 transposer, sanitize-row, group-merge, and the distributed ingest --
 ported from the reference's unit scenarios (SURVEY 5.1, FIXTURES F4)
-with the reference transposer imported as an oracle."""
+with the reference transposer imported as an oracle. The reference
+imports happen in fixtures, so only the parity tests need the
+reference: without it they error (never skip) and the rest of the file
+still runs."""
 
 import sys
 
@@ -18,7 +21,13 @@ from engine.infer import Dialect, detect_dialect, is_vertical_layout
 from engine.transpose import transpose_vertical
 
 sys.path.insert(0, "/root/reference/backend")
-from app.services.transposer import parse_vertical_csv as reference_transpose  # noqa: E402
+
+
+@pytest.fixture(scope="module")
+def reference_transpose():
+    from app.services.transposer import parse_vertical_csv
+
+    return parse_vertical_csv
 
 
 # --- dialect detection (reference test_dialect_detector.py) ---------------
@@ -96,7 +105,7 @@ TRANSPOSE_CASES = [
 
 
 @pytest.mark.parametrize("content", TRANSPOSE_CASES, ids=range(len(TRANSPOSE_CASES)))
-def test_transpose_matches_reference(content):
+def test_transpose_matches_reference(content, reference_transpose):
     import csv as _csv
 
     class _D(_csv.excel):
@@ -224,7 +233,12 @@ def test_vertical_csv_error_returns_empty():
 
 from hypothesis import given, settings, strategies as st
 
-from app.services.dialect_detector import DialectDetector as ReferenceDetector  # noqa: E402
+
+@pytest.fixture(scope="module")
+def reference_detector():
+    from app.services.dialect_detector import DialectDetector
+
+    return DialectDetector
 
 
 _cell = st.sampled_from(["1", "3.5", "1,5", "alice", "a b", "2023-01-01", "n/a", "x@y.com", "", "qu\"ote", "it's"])
@@ -235,17 +249,18 @@ _cell = st.sampled_from(["1", "3.5", "1,5", "alice", "a b", "2023-01-01", "n/a",
     delim=st.sampled_from([",", ";", "\t", "|"]),
     rows=st.lists(st.lists(_cell, min_size=1, max_size=5), min_size=1, max_size=8),
 )
-def test_dialect_detection_matches_reference(delim, rows):
+def test_dialect_detection_matches_reference(reference_detector, delim, rows):
     width = max(len(r) for r in rows)
     content = "\n".join(delim.join((r + [""] * width)[:width]) for r in rows)
     got = detect_dialect(content)
-    exp = ReferenceDetector().detect(content)
+    exp = reference_detector().detect(content)
     assert (got.delimiter, got.quotechar) == (exp.delimiter, exp.quotechar)
 
 
 # --- FULL parser parity: engine parse_csv_text vs reference _parse_csv_sync
 
-def _reference_parse():
+@pytest.fixture(scope="module")
+def reference_parse():
     """Import the reference's full parser with fastapi stubbed."""
     import sys as _sys
     import types as _types
@@ -277,8 +292,8 @@ _pcell = st.sampled_from(
     rows=st.lists(st.lists(_pcell, min_size=1, max_size=5), min_size=0, max_size=10),
     id_field=st.sampled_from([None, "id", "Key", "  ", "missing"]),
 )
-def test_full_parser_parity_vs_reference(delim, header, rows, id_field):
-    ref = _reference_parse()
+def test_full_parser_parity_vs_reference(reference_parse, delim, header, rows, id_field):
+    ref = reference_parse
     content = "\n".join(
         [delim.join(header)] + [delim.join(r) for r in rows]
     )

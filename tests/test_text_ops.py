@@ -247,15 +247,14 @@ def test_y4m_decode_real(ray_session):
     assert [round(v * 255) for v in got] == [0, 30, 60]
 
 
-def test_textstats_ascii_fast_path_parity(monkeypatch):
-    # the numpy byte-level fast path must match the regex path EXACTLY
-    # on every count (it feeds hard oracles token_stats/quality_ratios)
+def test_textstats_ascii_fast_path_parity():
+    # the numpy byte kernel must match the regex path EXACTLY on every
+    # count of an ASCII row (it feeds hard oracles token_stats/quality_ratios)
     import numpy as np
     import pandas as pd
 
-    from engine.textstats import TextStats, _ascii_fast_counts
+    from engine.textstats import TextStats, _byte_counts, string_buffer
 
-    monkeypatch.setenv("GRAFT_FAST_KERNELS", "1")
     ts = TextStats()
     cases = ["", " ", "the", " the ", "the the", "The.", "a a a a", "  ",
              "THE OF AND", "have\tfrom\nor", "\v\f\r", "xto tox", "w" * 5,
@@ -271,17 +270,106 @@ def test_textstats_ascii_fast_path_parity(monkeypatch):
     cases.append("a" * 140000)  # oversized all-alpha row
     cases += ["", ""]  # trailing empty rows: the reduceat sentinel edge
     s = pd.Series(cases)
-    fast = _ascii_fast_counts(s)
-    assert fast is not None
-    ref = (s.str.len(), s.str.count(ts.tok), s.str.count(ts.word),
-           s.str.count(ts.alpha), s.str.count(ts.punct),
-           s.str.lower().str.count(ts.stop_rx))
+    fast = _byte_counts(*string_buffer(s))
+    ref = ts.regex_counts(s)
     for name, f, r in zip(
         ["n_chars", "n_tokens", "n_words", "n_alpha", "n_punct", "n_stop"], fast, ref
     ):
-        assert (np.asarray(f) == r.to_numpy()).all(), name
-    # non-ascii blocks must fall back (byte classes would miscount)
-    assert _ascii_fast_counts(pd.Series(["héllo"])) is None
+        assert (np.asarray(f) == r).all(), name
+
+
+#: every multi-byte codepoint of PY_WS_RE2 (Python ``\s`` above ASCII)
+_WIDE_WS = ["\x85", "\xa0", "\u1680", *map(chr, range(0x2000, 0x200B)),
+            "\u2028", "\u2029", "\u202f", "\u205f", "\u3000"]
+
+
+def _mixed_batch(rng, n):
+    """ASCII rows interleaved with rows holding non-ASCII whitespace,
+    case-mapping traps (İ and Kelvin K lower to ASCII letters), CJK
+    glued to stopwords, NUL bytes, and empty / NULL rows."""
+    words = ["the", "of", "and", "a", "to", "is", "it", "in", "THE", "Is",
+             "x", "ok", "42", "...", "a\x00", "\x00", "the\x00of"]
+    wide = ["İ", "İt", "İS", "\u212a", "\u212ao", "中文", "the中文", "中文of",
+            "中the文", "é", "naïve", "\x00中"] + _WIDE_WS
+    seps = [" ", "\t", "\n", "\x1c", ""]
+    rows = []
+    for _ in range(n):
+        kind = rng.integers(0, 10)
+        if kind == 0:
+            rows.append(None if rng.integers(0, 2) else "")
+            continue
+        pool, glue_pool = (words + wide, seps + _WIDE_WS) if kind < 5 else (words, seps)
+        k = int(rng.integers(1, 12))
+        toks = [pool[j] for j in rng.integers(0, len(pool), k)]
+        glue = [glue_pool[j] for j in rng.integers(0, len(glue_pool), k)]
+        rows.append("".join(t + g for t, g in zip(toks, glue)))
+    return rows
+
+
+def test_textstats_mixed_batch_matches_regex_path():
+    # a batch mixing ASCII and non-ASCII rows takes the byte kernel for
+    # the ASCII rows and the regex path for the rest; the output frame
+    # must equal the all-regex one row for row (every count + quality)
+    import numpy as np
+    import pandas as pd
+
+    from engine.textstats import TextStats
+
+    rows = _mixed_batch(np.random.default_rng(11), 3000)
+    rows += _WIDE_WS + ["the" + w + "of" for w in _WIDE_WS]
+    rows += ["İt İS the", "\u212a the", "the中文 of 中文", "the\x00 of", None, ""]
+    df = pd.DataFrame({"text": rows, "id": range(len(rows))})
+    s = df["text"].fillna("")
+    nonascii = np.array([any(ord(c) >= 0x80 for c in t) for t in s])
+    assert 0 < nonascii.sum() < len(s)
+
+    ts, ref_stage = TextStats(), TextStats()
+    ref_stage.counts = ref_stage.regex_counts  # the pure regex path
+    for name, a, r in zip(
+        ["n_chars", "n_tokens", "n_words", "n_alpha", "n_punct", "n_stop"],
+        ts.counts(s), ref_stage.regex_counts(s),
+    ):
+        assert (a == r).all(), name
+    exp = ref_stage(df)
+    assert ts(df).equals(exp)
+    # the byte kernel alone miscounts the non-ASCII rows, so the
+    # equality above is not vacuous
+    from engine.textstats import _byte_counts, string_buffer
+
+    raw = _byte_counts(*string_buffer(s))
+    assert (raw[0][nonascii] != exp["n_chars"].to_numpy()[nonascii]).any()
+
+    # all-ASCII, all-non-ASCII and empty batches take one path each
+    for part in (df[~nonascii], df[nonascii], df.iloc[:0]):
+        assert ts(part).equals(ref_stage(part))
+
+
+def test_textstats_row_counts_independent_of_batch():
+    # a row's counts must not depend on what else shares its batch:
+    # each row alone equals the same row inside a mixed batch
+    import numpy as np
+    import pandas as pd
+
+    from engine.textstats import TextStats
+
+    rows = _mixed_batch(np.random.default_rng(12), 300)
+    df = pd.DataFrame({"text": rows})
+    ts = TextStats()
+    batch = ts(df)
+    cols = ["n_chars", "n_tokens", "n_words", "alpha_ratio", "punct_ratio",
+            "stop_ratio", "quality"]
+    alone = pd.concat([ts(df.iloc[[i]]) for i in range(len(df))])
+    assert batch[cols].equals(alone[cols])
+
+
+def test_string_buffer_keeps_non_ascii_bytes():
+    import pandas as pd
+
+    from engine.textstats import string_buffer
+
+    b, off = string_buffer(pd.Series(["héllo", None, "a"]))
+    assert bytes(b) == "héllo".encode() + b"a"
+    assert off.tolist() == [0, 6, 6, 7]
 
 
 def test_langid_vectorized_parity():
