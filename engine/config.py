@@ -53,29 +53,11 @@ class EngineConfig:
     #: auto-routing additionally requires a multi-node cluster unless
     #: this forces it on.
     merge_wide_single_node: bool = False
-    #: tables at or below this many live manifest bytes (and no source
-    #: Dataset) skip the merge exchange entirely: ONE Ray task reads the
-    #: files, runs the identical LWW fold over all rows at once and
-    #: writes the output. The fold is a row-set operation -- bucketing
-    #: is purely a parallelism device -- so semantics are unchanged by
-    #: construction. Same rationale/measurements as
-    #: ``cluster_small_bytes``: at 30 MB / 200 k rows the distributed
-    #: repartition + sort-shuffle groupby cost ~3 s of orchestration
-    #: for ~0.5 s of fold compute. Never triggers at production scale.
-    merge_small_bytes: int = 64 * 1024 * 1024
 
     # --- clustering ------------------------------------------------------
     cluster_cols: tuple = ("lang", "url")
     #: 'zorder' or 'hilbert'
     cluster_curve: str = "zorder"
-    #: tables at or below this many live manifest bytes skip the
-    #: distributed sort entirely: ONE Ray task reads the files, computes
-    #: the curve key, sorts in memory and writes the output (a
-    #: post-merge table this small is a single block anyway, and the
-    #: sort pipeline's sample/shuffle orchestration costs ~4x the actual
-    #: work -- measured 2.3s orchestration vs 0.4s compute at 90k rows).
-    #: At production scale this path never triggers.
-    cluster_small_bytes: int = 64 * 1024 * 1024
 
     # --- skew handling ---------------------------------------------------
     #: a single partition-key value holding more than this many rows is

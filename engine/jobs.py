@@ -24,7 +24,14 @@ import pyarrow as pa
 import ray.data
 
 from engine.config import EngineConfig
-from engine.manifest import FileEntry, JobLog, Table
+from engine.manifest import (
+    READ_TASK_BYTES,
+    FileEntry,
+    JobLog,
+    Table,
+    align_to_schema,
+    unify_parquet_schemas,
+)
 from engine.merge import merge_datasets
 from engine.sanitize import sanitize_stage
 from engine.writer import write_files
@@ -35,37 +42,6 @@ from engine import compact as compact_mod
 # ---------------------------------------------------------------------------
 # schema evolution (reference: dynamic field growth, transposer.py:48-49)
 # ---------------------------------------------------------------------------
-
-def unify_parquet_schemas(paths: list) -> pa.Schema:
-    """Driver-side footer scan -> unified schema. Footers are metadata-only
-    reads (no row groups), pooled so per-file open latency overlaps; for
-    very many files fan this out with ``ray.remote`` -- at 10^6 files it
-    is an embarrassingly parallel metadata pass."""
-    import pyarrow.parquet as pq
-
-    if len(paths) <= 2:
-        schemas = [pq.read_schema(p) for p in paths]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(16, len(paths))) as ex:
-            schemas = list(ex.map(pq.read_schema, paths))
-    return pa.unify_schemas(schemas)
-
-
-def align_to_schema(batch: pa.Table, schema: pa.Schema) -> pa.Table:
-    """Null-fill missing columns + reorder + cast: the engine's version of
-    'new keys appended dynamically, missing keys simply absent'
-    (``docs/processing-engine.md:147-154``; DictWriter empty-cell
-    semantics ``file_service.py:16-21``)."""
-    cols = []
-    for f in schema:
-        if f.name in batch.column_names:
-            cols.append(batch.column(f.name).cast(f.type))
-        else:
-            cols.append(pa.nulls(len(batch), type=f.type))
-    return pa.Table.from_arrays(cols, schema=schema)
-
 
 def evolved_read(paths: list, columns: Optional[list] = None) -> "ray.data.Dataset":
     """read_parquet across files with heterogeneous-but-unifiable schemas:
@@ -87,6 +63,19 @@ def evolved_read(paths: list, columns: Optional[list] = None) -> "ray.data.Datas
 # ---------------------------------------------------------------------------
 # jobs
 # ---------------------------------------------------------------------------
+
+#: tables at or below this many live manifest bytes skip the merge
+#: exchange (no source Dataset) and the distributed clustering sort: ONE
+#: Ray task reads the files, runs the identical fold / curve-key sort over
+#: all rows at once and writes the output. Bucketing and range
+#: partitioning are purely parallelism devices, so semantics are unchanged
+#: by construction. At this size orchestration dominates compute ~4:1
+#: (merge: ~3 s of repartition + sort-shuffle for ~0.5 s of fold at 30 MB
+#: / 200 k rows; cluster: 2.3 s vs 0.4 s at 90 k rows, BASELINE.md round
+#: 4). A ``cfg.shuffle_blocks`` pin forces the distributed paths. Never
+#: triggers at production scale.
+SMALL_TABLE_BYTES = 64 << 20
+
 
 def _shuffle_blocks(
     table: Table,
@@ -111,7 +100,7 @@ def _shuffle_blocks(
     if cfg is not None and cfg.shuffle_blocks:
         return int(cfg.shuffle_blocks)
     total_bytes = sum(f.bytes for f in (live if live is not None else table.live_files()))
-    by_bytes = total_bytes // (32 << 20) + 1
+    by_bytes = total_bytes // READ_TASK_BYTES + 1
     if not cpu_floor:
         return int(min(4096, by_bytes))
     cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
@@ -320,7 +309,7 @@ def _merge_small_task(
 ) -> list:
     """Whole-table MERGE in ONE task (small-table fast path): read ->
     LWW fold -> write. Only reached when the table's live bytes fit one
-    worker's heap (``cfg.merge_small_bytes``) and there is no source
+    worker's heap (``SMALL_TABLE_BYTES``) and there is no source
     Dataset (a source's size is unknown without executing it). The fold
     is :func:`engine.merge.merge_fold_passthrough_arrow` -- the SAME function
     the distributed per-bucket path runs, applied to all rows at once:
@@ -390,7 +379,7 @@ def merge_into(
         and live
         and schema is not None
         and not cfg.shuffle_blocks  # explicit partitioning pin wins
-        and sum(f.bytes for f in live) <= cfg.merge_small_bytes
+        and sum(f.bytes for f in live) <= SMALL_TABLE_BYTES
     ):
         # small-table fast path: one task, no exchange (see
         # _merge_small_task). Semantics identical: same fold function,
@@ -492,7 +481,7 @@ def _cluster_small_task(
     """Whole-table clustering rewrite in ONE task (small-table fast
     path): read -> curve key -> in-memory sort -> write. Only reached
     when the table's live bytes fit comfortably in one worker's heap
-    (``cfg.cluster_small_bytes``); the distributed sort's sample +
+    (``SMALL_TABLE_BYTES``); the distributed sort's sample +
     range-exchange orchestration dominates actual compute ~4:1 at this
     size (BASELINE.md round 4).
 
@@ -559,7 +548,7 @@ def cluster(
         live
         and mschema is not None
         and not (cfg.shuffle_blocks)  # explicit partitioning pin wins
-        and sum(f.bytes for f in live) <= cfg.cluster_small_bytes
+        and sum(f.bytes for f in live) <= SMALL_TABLE_BYTES
     ):
         # small-table fast path: one task, no distributed sort (see
         # _cluster_small_task). Semantics identical: same key, same

@@ -489,8 +489,7 @@ def build_ivf_index(
     # a crash between the two leaves an orphan .npy that the loader
     # ignores because CURRENT never advanced, so readers are never in a
     # new-assignment/old-centroids split (review finding)
-    sid_next = (table.current_snapshot_id() or 0) + 1
-    np.save(_centroid_path(table, sid_next), c)
+    np.save(_centroid_path(table, table.next_snapshot_id()), c)
     np.save(os.path.join(table.manifest_dir, "ivf_centroids.npy"), c)
     entries = write_files(
         listed,
@@ -693,7 +692,7 @@ def reindex_ivf(
         # build_ivf_index): if we crash here, CURRENT never advances
         # and the orphan version is ignored -- probes stay on the old
         # centroids AND the old assignment, never a mix
-        np.save(_centroid_path(table, (table.current_snapshot_id() or 0) + 1), c)
+        np.save(_centroid_path(table, table.next_snapshot_id()), c)
     table.commit(
         "ivf-reindex", add_files=entries, remove_files=drifted, schema=new_schema
     )

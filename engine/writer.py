@@ -24,20 +24,21 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 
-def read_tables_parallel(paths, max_workers: int = 8) -> list:
-    """Read small parquet files with IO overlapped in a thread pool.
+def read_tables_parallel(paths, max_workers: int = 8, read=pq.read_table) -> list:
+    """``[read(p) for p in paths]`` with IO overlapped in a thread pool.
 
     Arrow releases the GIL during IO+decompression, so a bounded pool
     overlaps the per-file open/decode latency; <=2 paths (or zero --
     safe on the empty list) read inline. The ONE shared idiom for every
-    small-file fast path (compact bins, merge/cluster small-table
-    tasks) so the copies cannot drift."""
+    small-file read (compact bins, merge/cluster small-table tasks,
+    ``Table.scan``'s read tasks, key probes and legacy footer passes) so
+    the copies cannot drift."""
     if len(paths) <= 2:
-        return [pq.read_table(p) for p in paths]
+        return [read(p) for p in paths]
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=min(max_workers, len(paths))) as ex:
-        return list(ex.map(pq.read_table, paths))
+        return list(ex.map(read, paths))
 
 
 def _file_stats(block: pa.Table, stats_cols) -> dict:

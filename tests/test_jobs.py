@@ -99,8 +99,8 @@ def test_cluster_small_fast_path_matches_distributed(tmp_path, ray_session):
     src = synth_pages_table(700)
     results = {}
     for name, cfg in [
-        ("fast", CFG),  # 700 rows ~ a few KB -> under cluster_small_bytes
-        ("dist", EngineConfig(merge_buckets=4, cluster_small_bytes=0)),
+        ("fast", CFG),  # 700 rows ~ a few KB -> under SMALL_TABLE_BYTES
+        ("dist", EngineConfig(merge_buckets=4, shuffle_blocks=4)),
     ]:
         t = Table.create(str(tmp_path / name))
         ingest(t, ray.data.from_arrow(src), cfg, sanitize_cols=())
@@ -177,8 +177,8 @@ def test_merge_small_fast_path_matches_distributed(tmp_path, ray_session):
     )
     results = {}
     for name, cfg in [
-        ("fast", CFG),  # 800 rows ~ tens of KB -> under merge_small_bytes
-        ("dist", EngineConfig(merge_buckets=4, merge_small_bytes=0)),
+        ("fast", CFG),  # 800 rows ~ tens of KB -> under SMALL_TABLE_BYTES
+        ("dist", EngineConfig(merge_buckets=4, shuffle_blocks=4)),
     ]:
         t = Table.create(str(tmp_path / name))
         ingest(t, ray.data.from_arrow(base), cfg, sanitize_cols=())

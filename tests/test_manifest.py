@@ -26,6 +26,16 @@ def test_commit_and_current(tmp_table_root):
     assert t.snapshot().total_rows == 10
 
 
+def test_next_snapshot_id_is_the_id_commit_takes(tmp_table_root):
+    t = Table(tmp_table_root)
+    os.makedirs(t.jobs_dir)
+    os.makedirs(t.data_dir)
+    assert t.current_snapshot_id() is None and t.next_snapshot_id() == 0
+    assert t.commit("create", []).snapshot_id == 0
+    assert t.next_snapshot_id() == 1
+    assert t.commit("ingest", [_mk_file(t, "a.parquet")]).snapshot_id == 1
+
+
 def test_remove_files_and_isolation(tmp_table_root):
     t = Table.create(tmp_table_root)
     a = _mk_file(t, "a.parquet")

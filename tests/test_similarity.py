@@ -581,6 +581,32 @@ def test_ivf_centroid_versioning_crash_window(ray_session, tmp_path):
     assert not (c1 == 7.0).all()
 
 
+def test_fresh_ivf_build_versions_centroids_by_its_own_commit(ray_session, tmp_path):
+    """A fresh build_ivf_index writes ONE versioned centroid file, named
+    by the snapshot its ivf-index commit takes (Table.create commits
+    snapshot 0 first, so that is snapshot 1), and the loader serves it
+    with the legacy unversioned file gone."""
+    import os
+    import re
+
+    from engine.similarity import build_ivf_index, load_ivf_centroids
+
+    t, _ = _emb_table(120, d=8)
+    table, cents = build_ivf_index(
+        ray.data.from_arrow(t), str(tmp_path / "ivf"), n_centroids=4,
+        rows_per_file=64,
+    )
+    sid = table.current_snapshot_id()
+    assert table.snapshot_header(sid)["operation"] == "ivf-index"
+    versioned = [
+        n for n in os.listdir(table.manifest_dir)
+        if re.fullmatch(r"ivf_centroids\.\d{8}\.npy", n)
+    ]
+    assert versioned == [f"ivf_centroids.{sid:08d}.npy"]
+    os.remove(os.path.join(table.manifest_dir, "ivf_centroids.npy"))
+    assert (load_ivf_centroids(table) == cents).all()
+
+
 def test_load_centroids_clear_error_on_plain_table(ray_session, tmp_path):
     from engine.manifest import Table
     from engine.similarity import load_ivf_centroids
