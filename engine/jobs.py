@@ -25,11 +25,12 @@ import ray.data
 
 from engine.config import EngineConfig
 from engine.manifest import (
-    READ_TASK_BYTES,
+    SMALL_TABLE_BYTES,
     FileEntry,
     JobLog,
     Table,
     align_to_schema,
+    read_task_count,
     unify_parquet_schemas,
 )
 from engine.merge import merge_datasets
@@ -64,18 +65,6 @@ def evolved_read(paths: list, columns: Optional[list] = None) -> "ray.data.Datas
 # jobs
 # ---------------------------------------------------------------------------
 
-#: tables at or below this many live manifest bytes skip the merge
-#: exchange (no source Dataset) and the distributed clustering sort: ONE
-#: Ray task reads the files, runs the identical fold / curve-key sort over
-#: all rows at once and writes the output. Bucketing and range
-#: partitioning are purely parallelism devices, so semantics are unchanged
-#: by construction. At this size orchestration dominates compute ~4:1
-#: (merge: ~3 s of repartition + sort-shuffle for ~0.5 s of fold at 30 MB
-#: / 200 k rows; cluster: 2.3 s vs 0.4 s at 90 k rows, BASELINE.md round
-#: 4). A ``cfg.shuffle_blocks`` pin forces the distributed paths. Never
-#: triggers at production scale.
-SMALL_TABLE_BYTES = 64 << 20
-
 
 def _shuffle_blocks(
     table: Table,
@@ -93,18 +82,21 @@ def _shuffle_blocks(
     through the raylet -- in local mode ONE raylet coordinates all of
     them, so keep blocks near the core count, not above it). Bounded at
     4096 (at 10^12 rows raise DataContext.target_max_block_size instead
-    of block count).
+    of block count). The bytes rule is ``manifest.read_task_count``,
+    shared with ``Table.scan``; the floors differ because exchange
+    partitions need not hold whole files: at least 8 and up to 64 CPUs
+    here, while a scan task reads whole files and floors at
+    ``min(files, CPUs)``.
     """
     import ray
 
     if cfg is not None and cfg.shuffle_blocks:
         return int(cfg.shuffle_blocks)
     total_bytes = sum(f.bytes for f in (live if live is not None else table.live_files()))
-    by_bytes = total_bytes // READ_TASK_BYTES + 1
     if not cpu_floor:
-        return int(min(4096, by_bytes))
+        return min(4096, read_task_count(total_bytes, 1))
     cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return int(min(4096, max(by_bytes, min(64, cpus), 8)))
+    return min(4096, read_task_count(total_bytes, max(min(64, cpus), 8)))
 
 
 def ingest(

@@ -50,6 +50,35 @@ from ray.data.datasource import Datasource, ReadTask
 #: count; ``jobs._shuffle_blocks`` sizes exchange blocks by it too
 READ_TASK_BYTES = 32 << 20
 
+#: Ray's parquet reader's default decoded/encoded size ratio: read tasks
+#: report ``file bytes x this`` as their in-memory size, so Ray's memory
+#: and backpressure accounting sees decoded blocks, not compressed files
+DECODED_BYTES_PER_FILE_BYTE = 5
+
+#: a read task streams its files in runs this long (one thread-pooled
+#: read each), so it holds at most this many decoded files at once
+FILES_PER_RUN = 8
+
+#: tables at or below this many live manifest bytes are small. Merge
+#: skips its exchange (no source Dataset) and clustering its
+#: distributed sort: ONE Ray task reads the files, runs the identical
+#: fold / curve-key sort over all rows at once and writes the output.
+#: Bucketing and range partitioning are purely parallelism devices, so
+#: semantics are unchanged by construction. At this size orchestration
+#: dominates compute ~4:1 (merge: ~3 s of repartition + sort-shuffle for
+#: ~0.5 s of fold at 30 MB / 200 k rows; cluster: 2.3 s vs 0.4 s at
+#: 90 k rows, BASELINE.md round 4); a ``cfg.shuffle_blocks`` pin forces
+#: the distributed paths. ``Table.scan`` probes a point key on the driver
+#: only while its candidate files total at most this much; above it the
+#: read tasks read every candidate and callers filter rows.
+SMALL_TABLE_BYTES = 64 << 20
+
+
+def read_task_count(nbytes: int, floor: int) -> int:
+    """Read tasks (or exchange blocks) for ``nbytes`` of manifest file
+    bytes: one per ``READ_TASK_BYTES``, and at least ``floor``."""
+    return max(nbytes // READ_TASK_BYTES + 1, floor)
+
 
 @dataclass
 class FileEntry:
@@ -415,20 +444,25 @@ class Table:
         columns are the manifest's visible ones (``__``-internals are
         hidden); ``columns`` projects, pushed into each file's read.
         ``override_num_blocks`` pins the read-task count (merge's
-        coalesced read); otherwise one task per ~32 MB of file bytes,
-        raised to ``min(files, CPUs)``.
+        coalesced read); otherwise ``read_task_count``: one task per
+        ~32 MB of file bytes, raised to ``min(files, CPUs)``.
 
         ``predicate_stats``: {"col": (lo, hi)} -- prune files whose
         manifest min/max range (or distinct set) does not intersect
         [lo, hi] before any task is launched. A point predicate
         (``lo == hi``) on a column without a distinct set then probes
         the candidates: it reads that one column of each and drops the
-        files that do not hold the value. Pruning is per file; callers
-        still filter rows.
+        files that do not hold the value, while the candidates total at
+        most ``SMALL_TABLE_BYTES``. Pruning is per file; callers still
+        filter rows.
 
         Files left that total at most ``DataContext.target_min_block_size``
-        (and no pinned block count) are read here on the driver into one
-        block: no read task runs.
+        of file bytes (and no pinned block count) are read here on the
+        driver into one block: no read task runs. The gate counts
+        compressed bytes, so the driver decodes about
+        ``DECODED_BYTES_PER_FILE_BYTE`` times that (~5 MiB) at most;
+        against one read task it took ``crawl_maintain`` lookups from
+        76 to 49 ms (BASELINE.md, "Reads planned from the manifest").
 
         Legacy manifests without a schema, or a projection naming a
         column the manifest does not record, take the schema from the
@@ -467,9 +501,8 @@ class Table:
         ):
             return ray.data.from_blocks([_read_files([f.path for f in files], schema)])
         if override_num_blocks is None:
-            by_bytes = nbytes // READ_TASK_BYTES + 1
             cpus = int(ray.cluster_resources().get("CPU", 1)) if ray.is_initialized() else 1
-            override_num_blocks = max(by_bytes, min(len(files), cpus))
+            override_num_blocks = read_task_count(nbytes, min(len(files), cpus))
         return ray.data.read_datasource(
             _ManifestFiles(files, schema), override_num_blocks=override_num_blocks
         )
@@ -629,12 +662,16 @@ def _probe_points(files: list, predicate_stats: dict) -> list:
     this for a clustered key -- the Z-order interleaves ``url`` ranges,
     so most files' ranges span any one url. A file without the column
     holds only nulls there and is dropped; a value the column cannot
-    be compared with keeps the file."""
+    be compared with keeps the file.
+
+    The probe runs on the driver, so it only runs while the files to
+    probe total at most ``SMALL_TABLE_BYTES``; above that every
+    candidate is kept and the read tasks decode it."""
     points = {
         c: lo for c, (lo, hi) in predicate_stats.items() if lo is not None and lo == hi
     }
     probe = [f for f in files if any(c not in f.distincts for c in points)]
-    if not probe:
+    if not probe or sum(f.bytes for f in probe) > SMALL_TABLE_BYTES:
         return files
 
     def holds(fe: FileEntry) -> bool:
@@ -676,11 +713,17 @@ def _read_files(paths: list, schema: pa.Schema) -> pa.Table:
     return tables[0] if len(tables) == 1 else pa.concat_tables(tables)
 
 
+def _read_runs(paths: list, schema: pa.Schema):
+    for i in range(0, len(paths), FILES_PER_RUN):
+        yield _read_files(paths[i : i + FILES_PER_RUN], schema)
+
+
 class _ManifestFiles(Datasource):
     """Read tasks over manifest file entries. Rows, bytes and schema come
     from the manifest, so building the tasks opens no file. Each task
     reads a contiguous run of files (balanced by bytes, in manifest
-    order) into one block."""
+    order), ``FILES_PER_RUN`` files at a time; Ray's output buffer
+    joins small runs into blocks of up to ``target_max_block_size``."""
 
     def __init__(self, files: list, schema: pa.Schema):
         self._files = files
@@ -690,7 +733,7 @@ class _ManifestFiles(Datasource):
         return "Manifest"
 
     def estimate_inmemory_data_size(self) -> int:
-        return sum(f.bytes for f in self._files)
+        return sum(f.bytes for f in self._files) * DECODED_BYTES_PER_FILE_BYTE
 
     def get_read_tasks(self, parallelism: int) -> list:
         files = self._files
@@ -713,12 +756,12 @@ class _ManifestFiles(Datasource):
             paths = [f.path for f in group]
             meta = BlockMetadata(
                 num_rows=sum(f.rows for f in group),
-                size_bytes=sum(f.bytes for f in group),
+                size_bytes=sum(f.bytes for f in group) * DECODED_BYTES_PER_FILE_BYTE,
                 exec_stats=None,
                 input_files=paths,
             )
             tasks.append(
-                ReadTask(lambda paths=paths: [_read_files(paths, schema)], meta, schema=schema)
+                ReadTask(lambda paths=paths: _read_runs(paths, schema), meta, schema=schema)
             )
         return tasks
 

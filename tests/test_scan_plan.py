@@ -233,3 +233,35 @@ def test_pinned_block_count_is_kept(tmp_table_root):
         ).materialize()
         assert ds.num_blocks() == ref.num_blocks() >= blocks
         assert ds.count() == 11
+
+
+def test_probe_skipped_above_small_table_bytes(tmp_table_root, monkeypatch):
+    """The probe decodes key columns on the driver, so candidates over
+    SMALL_TABLE_BYTES are not probed: every min/max candidate is read
+    by the tasks instead, and no file is opened at plan time."""
+    import engine.manifest as manifest
+
+    t, files = _evolved(tmp_table_root)
+    monkeypatch.setattr(manifest, "SMALL_TABLE_BYTES", sum(f.bytes for f in files) - 1)
+    opened = []
+    real = pq.ParquetFile
+    monkeypatch.setattr(pq, "ParquetFile", lambda p, *a, **k: opened.append(p) or real(p, *a, **k))
+    ds = t.scan(predicate_stats={"url": ("u3", "u3")}, override_num_blocks=1)
+    assert opened == []
+    monkeypatch.undo()
+    assert ds.count() == sum(f.rows for f in files)
+
+
+def test_read_task_streams_runs_of_files(tmp_table_root, monkeypatch):
+    """A read task yields its files FILES_PER_RUN at a time instead of
+    one table of the whole group, and reports a decoded-size estimate."""
+    import engine.manifest as manifest
+
+    t, files = _evolved(tmp_table_root)
+    monkeypatch.setattr(manifest, "FILES_PER_RUN", 2)
+    (task,) = manifest._ManifestFiles(files, t.arrow_schema()).get_read_tasks(1)
+    runs = list(task())
+    assert [len(r) for r in runs] == [files[0].rows + files[1].rows, files[2].rows]
+    assert task.metadata.size_bytes == sum(f.bytes for f in files) * (
+        manifest.DECODED_BYTES_PER_FILE_BYTE
+    )
