@@ -68,7 +68,7 @@ FILES_PER_RUN = 8
 #: dominates compute ~4:1 (merge: ~3 s of repartition + sort-shuffle for
 #: ~0.5 s of fold at 30 MB / 200 k rows; cluster: 2.3 s vs 0.4 s at
 #: 90 k rows, BASELINE.md round 4); a ``cfg.shuffle_blocks`` pin forces
-#: the distributed paths. ``Table.scan`` probes a point key on the driver
+#: the distributed paths. ``Table.scan`` point-reads a key on the driver
 #: only while its candidate files total at most this much; above it the
 #: read tasks read every candidate and callers filter rows.
 SMALL_TABLE_BYTES = 64 << 20
@@ -450,11 +450,12 @@ class Table:
         ``predicate_stats``: {"col": (lo, hi)} -- prune files whose
         manifest min/max range (or distinct set) does not intersect
         [lo, hi] before any task is launched. A point predicate
-        (``lo == hi``) on a column without a distinct set then probes
-        the candidates: it reads that one column of each and drops the
-        files that do not hold the value, while the candidates total at
-        most ``SMALL_TABLE_BYTES``. Pruning is per file; callers still
-        filter rows.
+        (``lo == hi``) where some candidate records no distinct set for
+        the column is then a point read (``_point_read``): while the
+        candidates total at most ``SMALL_TABLE_BYTES``, the driver reads
+        each one's key column(s) and returns only the matching rows, in
+        one block whatever ``override_num_blocks`` asks. Otherwise
+        pruning is per file; callers still filter rows.
 
         Files left that total at most ``DataContext.target_min_block_size``
         of file bytes (and no pinned block count) are read here on the
@@ -463,6 +464,8 @@ class Table:
         ``DECODED_BYTES_PER_FILE_BYTE`` times that (~5 MiB) at most;
         against one read task it took ``crawl_maintain`` lookups from
         76 to 49 ms (BASELINE.md, "Reads planned from the manifest").
+        A driver-side read comes back already executed
+        (``materialize()``), so consuming it starts no streaming executor.
 
         Legacy manifests without a schema, or a projection naming a
         column the manifest does not record, take the schema from the
@@ -470,9 +473,12 @@ class Table:
         """
         snap = self.snapshot(snapshot_id)
         files = snap.files
+        points = {}
         if predicate_stats:
             files = [f for f in files if _stats_overlap(f, predicate_stats)]
-            files = _probe_points(files, predicate_stats)
+            points = {
+                c: lo for c, (lo, hi) in predicate_stats.items() if lo is not None and lo == hi
+            }
         schema = snap.arrow_schema()
         if schema is not None and len(schema) == 0:
             schema = None
@@ -492,14 +498,23 @@ class Table:
         # honor the projection on the empty path too: callers chain
         # schema-sensitive ops (unique, union) onto the result
         schema = pa.schema([schema.field(n) for n in names])
-        if not files:
-            return ray.data.from_arrow(schema.empty_table())
         nbytes = sum(f.bytes for f in files)
-        if (
+        tbl = None
+        if not files:
+            tbl = schema.empty_table()
+        elif (
+            points
+            and nbytes <= SMALL_TABLE_BYTES
+            and any(c not in f.distincts for f in files for c in points)
+        ):
+            tbl = _point_read(files, points, schema)
+        elif (
             override_num_blocks is None
             and nbytes <= ray.data.DataContext.get_current().target_min_block_size
         ):
-            return ray.data.from_blocks([_read_files([f.path for f in files], schema)])
+            tbl = _read_files([f.path for f in files], schema)
+        if tbl is not None:
+            return ray.data.from_blocks([tbl]).materialize()
         if override_num_blocks is None:
             cpus = int(ray.cluster_resources().get("CPU", 1)) if ray.is_initialized() else 1
             override_num_blocks = read_task_count(nbytes, min(len(files), cpus))
@@ -655,46 +670,41 @@ def _stats_overlap(fe: FileEntry, predicate_stats: dict) -> bool:
     return True
 
 
-def _probe_points(files: list, predicate_stats: dict) -> list:
-    """Exact file pruning for point predicates (``lo == hi``) on columns
-    a file records no distinct set for: read only that column of each
-    such file and keep the files that hold the value. Min/max cannot do
-    this for a clustered key -- the Z-order interleaves ``url`` ranges,
-    so most files' ranges span any one url. A file without the column
-    holds only nulls there and is dropped; a value the column cannot
-    be compared with keeps the file.
+def _point_read(files: list, points: dict, schema: pa.Schema) -> pa.Table:
+    """The rows of ``files`` whose ``points`` columns equal their values,
+    read as ``schema`` on the driver (``_read_file`` semantics). Each
+    file decodes its key columns first and is skipped when no row
+    matches (NULL never does; a file without a key column holds only
+    nulls there); only a file with a hit decodes the rest of the
+    projection. Min/max cannot prune a clustered key -- the Z-order
+    interleaves ``url`` ranges, so most files' ranges span any one url.
+    A value the column cannot be compared with keeps the file's rows."""
 
-    The probe runs on the driver, so it only runs while the files to
-    probe total at most ``SMALL_TABLE_BYTES``; above that every
-    candidate is kept and the read tasks decode it."""
-    points = {
-        c: lo for c, (lo, hi) in predicate_stats.items() if lo is not None and lo == hi
-    }
-    probe = [f for f in files if any(c not in f.distincts for c in points)]
-    if not probe or sum(f.bytes for f in probe) > SMALL_TABLE_BYTES:
-        return files
-
-    def holds(fe: FileEntry) -> bool:
+    def read(fe: FileEntry) -> Optional[pa.Table]:
         pf = pq.ParquetFile(fe.path)
         have = set(pf.schema_arrow.names)
+        if not have.issuperset(points):
+            return None
+        keys = pf.read(columns=list(points))
+        mask = None
         for col, v in points.items():
-            if col in fe.distincts:
-                continue  # already decided exactly by _stats_overlap
-            if col not in have:
-                return False
             try:
-                if not pc.any(pc.equal(pf.read(columns=[col]).column(0), v)).as_py():
-                    return False
+                hit = pc.fill_null(pc.equal(keys.column(col), v), False)
             except (pa.ArrowInvalid, pa.ArrowNotImplementedError, TypeError):
-                pass
-        return True
+                continue
+            mask = hit if mask is None else pc.and_(mask, hit)
+        if mask is not None and not pc.any(mask).as_py():
+            return None
+        tbl = pf.read(columns=[n for n in schema.names if n in have and n not in points])
+        for col in points:
+            tbl = tbl.append_column(keys.field(col), keys.column(col))
+        tbl = align_to_schema(tbl, schema)
+        return tbl if mask is None else tbl.filter(mask)
 
     from engine.writer import read_tables_parallel
 
-    dropped = {
-        fe.path for fe, ok in zip(probe, read_tables_parallel(probe, read=holds)) if not ok
-    }
-    return [f for f in files if f.path not in dropped]
+    hits = [t for t in read_tables_parallel(files, read=read) if t is not None]
+    return pa.concat_tables(hits) if hits else schema.empty_table()
 
 
 def _read_file(path: str, schema: pa.Schema) -> pa.Table:

@@ -31,7 +31,7 @@ def read_tables_parallel(paths, max_workers: int = 8, read=pq.read_table) -> lis
     overlaps the per-file open/decode latency; <=2 paths (or zero --
     safe on the empty list) read inline. The ONE shared idiom for every
     small-file read (compact bins, merge/cluster small-table tasks,
-    ``Table.scan``'s read tasks, key probes and legacy footer passes) so
+    ``Table.scan``'s read tasks, point reads and legacy footer passes) so
     the copies cannot drift."""
     if len(paths) <= 2:
         return [read(p) for p in paths]

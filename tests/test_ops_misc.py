@@ -208,6 +208,31 @@ def test_bloom_canonicalization_no_false_negatives(ray_session):
     assert out.col.isna().sum() == 0  # NULL never matches
 
 
+def test_float32_keys_canonicalize_like_float64(ray_session):
+    """A float32 key renders its own shortest repr, as a float64 or a
+    Python float of the same literal does, on both the vectorized and the
+    scalar path; a Bloom semi-join across the two widths finds its match."""
+    from engine.lookup import _canon_keys, bloom_semi_join
+
+    lits = [1.1, 2.0, -0.5, 3.25, None]
+    want = ["1.1", "2", "-0.5", "3.25", None]
+    for vals in (
+        lits,
+        np.array(lits, dtype=np.float64),
+        np.array(lits, dtype=np.float32),
+        [None if v is None else np.float32(v) for v in lits],
+        [None if v is None else np.float32(v) for v in lits] + ["x"],  # scalar path
+    ):
+        got = [None if pd.isna(g) else g for g in _canon_keys(vals)]
+        assert got[: len(want)] == want, vals
+    for key_dtype, col_type in ((np.float32, pa.float64()), (np.float64, pa.float32())):
+        t = pa.table({"col": pa.array([1.1, 2.0, 7.5, None], col_type)})
+        keys = np.array([1.1, 2.0], dtype=key_dtype)
+        out = bloom_semi_join(ray.data.from_arrow(t), keys, "col").to_pandas()
+        assert {round(float(v), 4) for v in out.col} >= {1.1, 2.0}, (key_dtype, col_type)
+        assert out.col.isna().sum() == 0
+
+
 def test_range_join_guards(ray_session):
     from engine.lookup import range_join
 

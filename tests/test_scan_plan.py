@@ -1,6 +1,6 @@
 """Table.scan planned from the manifest: parity with Ray's read_parquet
-on a schema-evolved table, the point-lookup key probe, the sub-block
-driver read, pinned block counts, and no footer fetch at plan time."""
+on a schema-evolved table, the point read, the sub-block driver read,
+pinned block counts, and no footer fetch at plan time."""
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -106,18 +106,23 @@ def test_projection_naming_column_some_files_lack(tmp_table_root):
         assert _sorted(got) == _sorted(exp)
 
 
-def test_point_probe_hit_keeps_only_files_holding_the_key(tmp_table_root):
+def _matching(files, url, columns=VISIBLE):
+    """read_parquet's rows whose url equals ``url`` (NULL never does),
+    projected to ``columns``."""
+    exp = _arrow(_reference(files, ["url"] + [c for c in columns if c != "url"]))
+    return exp.filter(pc.fill_null(pc.equal(exp.column("url"), url), False)).select(columns)
+
+
+def test_point_read_hit_returns_only_matching_rows(tmp_table_root):
     t, files = _evolved(tmp_table_root)
     # u3 is only in b although every file's url range covers it
     got = _arrow(t.scan(predicate_stats={"url": ("u3", "u3")}))
-    assert got.column("url").to_pylist() == ["u0", "u3", "u9"]  # b alone
-    # u9 is in every file: every file is kept, and the matching rows
-    # equal read_parquet's
+    assert got.schema == _matching(files, "u3").schema
+    assert _sorted(got) == _sorted(_matching(files, "u3")) != []
+    # u9 is in every file: one row from each
     got = _arrow(t.scan(predicate_stats={"url": ("u9", "u9")}))
-    assert len(got) == sum(f.rows for f in files)
-    exp = _arrow(_reference(files, VISIBLE))
-    hit = pc.equal(got.column("url"), "u9")
-    assert _sorted(got.filter(hit)) == _sorted(exp.filter(pc.equal(exp.column("url"), "u9")))
+    assert _sorted(got) == _sorted(_matching(files, "u9"))
+    assert len(got) == len(files)
 
 
 def test_point_probe_miss_and_empty_url(tmp_table_root):
@@ -126,35 +131,44 @@ def test_point_probe_miss_and_empty_url(tmp_table_root):
     miss = t.scan(predicate_stats={"url": ("u2", "u2")})
     assert miss.schema().names == VISIBLE
     assert miss.count() == 0
-    # the empty url is a value like any other; NULL never matches
+    # the empty url is a value like any other; NULL never matches, also
+    # for urls in a, the file holding the NULL url
     empty = _arrow(t.scan(predicate_stats={"url": ("", "")}))
-    assert len(empty) == files[0].rows
-    assert empty.filter(pc.equal(empty.column("url"), "")).column("text").to_pylist() == [
-        "aempty"
-    ]
-    # a range predicate is not a point: no probe, min/max only
+    assert empty.column("text").to_pylist() == ["aempty"]
+    for url in ("", "u0", "u5"):
+        got = _arrow(t.scan(predicate_stats={"url": (url, url)}))
+        assert _sorted(got) == _sorted(_matching(files, url)) != []
+        assert "anull" not in got.column("text").to_pylist()
+    # a range predicate is not a point: no point read, min/max only
     rng = t.scan(predicate_stats={"url": ("u2", "u2~")})
     assert rng.count() == sum(f.rows for f in files)
 
 
 def test_probe_skips_columns_with_distinct_sets(tmp_table_root, monkeypatch):
-    """lang has a manifest distinct set: membership is already exact, so
-    a point predicate on it opens no file at plan time."""
+    """lang has a manifest distinct set: a point predicate on it opens
+    no file the set rules out (b), probes the key column of a file
+    without a set (a: no lang column, so no row matches) and reads only
+    the file whose set holds the value (c)."""
     t, files = _evolved(tmp_table_root)
     assert all("lang" in f.distincts for f in files[1:])
     opened = []
     real = pq.ParquetFile
     monkeypatch.setattr(pq, "ParquetFile", lambda p, *a, **k: opened.append(p) or real(p, *a, **k))
-    t.scan(predicate_stats={"lang": ("zh", "zh")}, override_num_blocks=1)
-    # only a, which has no lang column and so no distinct set, is probed
-    assert opened == [files[0].path]
+    got = _arrow(t.scan(predicate_stats={"lang": ("zh", "zh")}, override_num_blocks=1))
+    assert sorted(opened) == sorted([files[0].path, files[2].path])
+    assert got.column("lang").to_pylist() == ["zh"] * files[2].rows
 
 
 def test_empty_plan_keeps_schema(tmp_table_root):
     t, _ = _evolved(tmp_table_root)
-    ds = t.scan(columns=["url", "lang"], predicate_stats={"url": ("zz", "zz")})
-    assert ds.schema().names == ["url", "lang"]
-    assert ds.count() == 0
+    # zz is pruned by min/max; u2 is a point read that matches no row
+    for url in ("zz", "u2"):
+        ds = t.scan(columns=["url", "lang"], predicate_stats={"url": (url, url)})
+        assert ds.schema().names == ["url", "lang"]
+        assert ds.count() == 0
+    ds = t.scan(columns=["n", "lang"], predicate_stats={"url": ("u2", "u2")})
+    assert ds.schema().types == [pa.int64(), pa.string()]
+    assert _arrow(ds).num_rows == 0
     assert t.scan(predicate_stats={"lang": ("xx", "xx")}).schema().names == VISIBLE
 
 
@@ -236,9 +250,9 @@ def test_pinned_block_count_is_kept(tmp_table_root):
 
 
 def test_probe_skipped_above_small_table_bytes(tmp_table_root, monkeypatch):
-    """The probe decodes key columns on the driver, so candidates over
-    SMALL_TABLE_BYTES are not probed: every min/max candidate is read
-    by the tasks instead, and no file is opened at plan time."""
+    """The point read decodes key columns on the driver, so candidates
+    over SMALL_TABLE_BYTES are not point-read: every min/max candidate
+    is read by the tasks instead, and no file is opened at plan time."""
     import engine.manifest as manifest
 
     t, files = _evolved(tmp_table_root)
@@ -248,8 +262,17 @@ def test_probe_skipped_above_small_table_bytes(tmp_table_root, monkeypatch):
     monkeypatch.setattr(pq, "ParquetFile", lambda p, *a, **k: opened.append(p) or real(p, *a, **k))
     ds = t.scan(predicate_stats={"url": ("u3", "u3")}, override_num_blocks=1)
     assert opened == []
+    # unpinned, and over the sub-block limit too: read tasks run
+    monkeypatch.setattr(ray.data.DataContext.get_current(), "target_min_block_size", 1)
+    called = []
+    real_read = ray.data.read_datasource
+    monkeypatch.setattr(
+        ray.data, "read_datasource", lambda *a, **k: called.append(k) or real_read(*a, **k)
+    )
+    unpinned = t.scan(predicate_stats={"url": ("u3", "u3")})
+    assert opened == [] and len(called) == 1
     monkeypatch.undo()
-    assert ds.count() == sum(f.rows for f in files)
+    assert ds.count() == unpinned.count() == sum(f.rows for f in files)
 
 
 def test_read_task_streams_runs_of_files(tmp_table_root, monkeypatch):
@@ -265,3 +288,48 @@ def test_read_task_streams_runs_of_files(tmp_table_root, monkeypatch):
     assert task.metadata.size_bytes == sum(f.bytes for f in files) * (
         manifest.DECODED_BYTES_PER_FILE_BYTE
     )
+
+
+def test_point_read_projection_without_the_key(tmp_table_root):
+    """The mask comes from the key column even when the projection
+    leaves it out: rows equal read_parquet's filtered, then projected."""
+    t, files = _evolved(tmp_table_root)
+    for url in ("u0", "u9", "u4"):
+        for cols in (["text", "n"], ["lang"], ["__zkey", "n"]):
+            got = _arrow(t.scan(columns=cols, predicate_stats={"url": (url, url)}))
+            assert got.column_names == cols
+            assert _sorted(got) == _sorted(_matching(files, url, cols)) != []
+
+
+def test_point_read_returns_every_version(tmp_table_root):
+    """An un-merged table holds u9 in all three files: the point read
+    returns each file's row, schema-evolved columns null-filled."""
+    t, files = _evolved(tmp_table_root)
+    got = _arrow(t.scan(predicate_stats={"url": ("u9", "u9")}))
+    assert sorted(got.to_pylist(), key=lambda r: r["n"]) == [
+        {"url": "u9", "text": "a9", "lang": None, "n": 4},
+        {"url": "u9", "text": "b9", "lang": "en", "n": 7},
+        {"url": "u9", "text": None, "lang": "zh", "n": 10},
+    ]
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"predicate_stats": {"url": ("u9", "u9")}}, {}],
+    ids=["point", "sub_block"],
+)
+def test_driver_read_is_already_executed(tmp_table_root, monkeypatch, kwargs):
+    """A point read or a sub-block read starts no read task, and
+    consuming it constructs no streaming executor."""
+    from ray.data._internal.execution import streaming_executor
+
+    t, files = _evolved(tmp_table_root)
+
+    def boom(*a, **k):
+        raise AssertionError("driver-side read planned a read task or an executor")
+
+    monkeypatch.setattr(ray.data, "read_datasource", boom)
+    monkeypatch.setattr(streaming_executor.StreamingExecutor, "__init__", boom)
+    ds = t.scan(**kwargs)
+    rows = [b.num_rows for b in ds.iter_batches(batch_format="pyarrow", batch_size=None)]
+    assert sum(rows) == (len(files) if kwargs.get("predicate_stats") else 11)
