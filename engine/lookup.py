@@ -119,12 +119,7 @@ def _canon_keys(values) -> pd.Series:
         if ints is not None:
             out[ok] = ints.astype(str)
             return pd.Series(out, index=s.index, dtype=object)
-    if kind in ("floating", "mixed-integer-float", "empty") and not any(
-        issubclass(t, np.floating) and t is not np.float64 for t in set(map(type, s[ok]))
-    ):
-        # float64 input only: widening a float32 key renders its binary
-        # value (1.1 -> '1.100000023841858'), the scalar path its own
-        # shortest repr ('1.1')
+    if kind in ("floating", "mixed-integer-float", "empty"):
         f = s.to_numpy()[ok].astype(np.float64)
         if kind == "mixed-integer-float" and len(f) and np.abs(f).max() >= float(2**53):
             # a Python INT above 2^53 in a mixed batch would round
@@ -150,12 +145,15 @@ def _canon_keys(values) -> pd.Series:
             return pd.Series(out, index=s.index, dtype=object)
 
     def canon(v):
-        if isinstance(v, (float, np.floating)):
-            if np.isnan(v):
-                return None
-            if v.is_integer():
-                return str(int(v))
-        return None if v is None else str(v)
+        if isinstance(v, np.floating):
+            # widened like the vectorized path (float32 1.1 ->
+            # '1.100000023841858'), the value SQL compares with float64
+            v = float(v)
+        if v is None or (isinstance(v, float) and np.isnan(v)):
+            return None
+        if isinstance(v, float) and v.is_integer():
+            return str(int(v))
+        return str(v)
 
     return s.map(canon)
 
@@ -212,12 +210,7 @@ def bloom_semi_join(ds, keys, col: str, num_bits: int = 1 << 20, num_hashes: int
             ok = pc.is_valid(arr).to_numpy(zero_copy_only=False)
             valid = arr.drop_null()
         else:
-            # floats via numpy keep their width (to_pylist widens a
-            # float32 to its float64 value), like float32 build keys
-            if pa.types.is_floating(arr.type):
-                canon = _canon_keys(arr.to_numpy(zero_copy_only=False))
-            else:
-                canon = _canon_keys(arr.to_pylist())
+            canon = _canon_keys(arr.to_pylist())
             ok = canon.notna().to_numpy()
             valid = canon[ok]
         mask = np.zeros(len(arr), dtype=bool)

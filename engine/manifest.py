@@ -73,6 +73,14 @@ FILES_PER_RUN = 8
 #: read tasks read every candidate and callers filter rows.
 SMALL_TABLE_BYTES = 64 << 20
 
+#: a point read decodes the projection of the files holding its key on
+#: the driver (about ``DECODED_BYTES_PER_FILE_BYTE`` times their bytes,
+#: then filtered to the matching rows) only while they total at most
+#: this much; above it those files go to read tasks whole and callers
+#: filter rows. 4x the sub-block limit: compaction leaves each
+#: ``merge_delta`` url in one ~1.5 MB file.
+POINT_READ_BYTES = 4 << 20
+
 
 def read_task_count(nbytes: int, floor: int) -> int:
     """Read tasks (or exchange blocks) for ``nbytes`` of manifest file
@@ -453,9 +461,11 @@ class Table:
         (``lo == hi``) where some candidate records no distinct set for
         the column is then a point read (``_point_read``): while the
         candidates total at most ``SMALL_TABLE_BYTES``, the driver reads
-        each one's key column(s) and returns only the matching rows, in
-        one block whatever ``override_num_blocks`` asks. Otherwise
-        pruning is per file; callers still filter rows.
+        each one's key column(s) and drops the files without a match.
+        While the files left total at most ``POINT_READ_BYTES``, it
+        returns only their matching rows, in one block whatever
+        ``override_num_blocks`` asks. Otherwise pruning is per file;
+        callers still filter rows.
 
         Files left that total at most ``DataContext.target_min_block_size``
         of file bytes (and no pinned block count) are read here on the
@@ -464,8 +474,8 @@ class Table:
         ``DECODED_BYTES_PER_FILE_BYTE`` times that (~5 MiB) at most;
         against one read task it took ``crawl_maintain`` lookups from
         76 to 49 ms (BASELINE.md, "Reads planned from the manifest").
-        A driver-side read comes back already executed
-        (``materialize()``), so consuming it starts no streaming executor.
+        A driver-side read comes back already executed (``_executed``),
+        so consuming it starts no streaming executor.
 
         Legacy manifests without a schema, or a projection naming a
         column the manifest does not record, take the schema from the
@@ -500,21 +510,23 @@ class Table:
         schema = pa.schema([schema.field(n) for n in names])
         nbytes = sum(f.bytes for f in files)
         tbl = None
-        if not files:
-            tbl = schema.empty_table()
-        elif (
+        if (
             points
             and nbytes <= SMALL_TABLE_BYTES
             and any(c not in f.distincts for f in files for c in points)
         ):
-            tbl = _point_read(files, points, schema)
+            files, tbl = _point_read(files, points, schema)
+            nbytes = sum(f.bytes for f in files)
+        if tbl is None and not files:
+            tbl = schema.empty_table()
         elif (
-            override_num_blocks is None
+            tbl is None
+            and override_num_blocks is None
             and nbytes <= ray.data.DataContext.get_current().target_min_block_size
         ):
             tbl = _read_files([f.path for f in files], schema)
         if tbl is not None:
-            return ray.data.from_blocks([tbl]).materialize()
+            return _executed(tbl)
         if override_num_blocks is None:
             cpus = int(ray.cluster_resources().get("CPU", 1)) if ray.is_initialized() else 1
             override_num_blocks = read_task_count(nbytes, min(len(files), cpus))
@@ -670,20 +682,22 @@ def _stats_overlap(fe: FileEntry, predicate_stats: dict) -> bool:
     return True
 
 
-def _point_read(files: list, points: dict, schema: pa.Schema) -> pa.Table:
-    """The rows of ``files`` whose ``points`` columns equal their values,
-    read as ``schema`` on the driver (``_read_file`` semantics). Each
-    file decodes its key columns first and is skipped when no row
+def _point_read(files: list, points: dict, schema: pa.Schema):
+    """``(kept, rows)``: the files that hold the ``points`` values and
+    their matching rows, read as ``schema`` on the driver (``_read_file``
+    semantics). ``rows`` is None when the kept files total more than
+    ``POINT_READ_BYTES``; the caller then reads them whole in read tasks.
+    Each file decodes its key columns first and is dropped when no row
     matches (NULL never does; a file without a key column holds only
-    nulls there); only a file with a hit decodes the rest of the
-    projection. Min/max cannot prune a clustered key -- the Z-order
-    interleaves ``url`` ranges, so most files' ranges span any one url.
-    A value the column cannot be compared with keeps the file's rows."""
+    nulls there); only a kept file decodes the rest of the projection.
+    Min/max cannot prune a clustered key -- the Z-order interleaves
+    ``url`` ranges, so most files' ranges span any one url. A value the
+    column cannot be compared with keeps the file and all its rows."""
+    from engine.writer import read_tables_parallel
 
-    def read(fe: FileEntry) -> Optional[pa.Table]:
+    def probe(fe: FileEntry):
         pf = pq.ParquetFile(fe.path)
-        have = set(pf.schema_arrow.names)
-        if not have.issuperset(points):
+        if not set(pf.schema_arrow.names).issuperset(points):
             return None
         keys = pf.read(columns=list(points))
         mask = None
@@ -695,16 +709,42 @@ def _point_read(files: list, points: dict, schema: pa.Schema) -> pa.Table:
             mask = hit if mask is None else pc.and_(mask, hit)
         if mask is not None and not pc.any(mask).as_py():
             return None
+        return fe, pf, keys, mask
+
+    hits = [h for h in read_tables_parallel(files, read=probe) if h is not None]
+    kept = [h[0] for h in hits]
+    if sum(f.bytes for f in kept) > POINT_READ_BYTES:
+        return kept, None
+
+    def read(hit) -> pa.Table:
+        _, pf, keys, mask = hit
+        have = set(pf.schema_arrow.names)
         tbl = pf.read(columns=[n for n in schema.names if n in have and n not in points])
         for col in points:
             tbl = tbl.append_column(keys.field(col), keys.column(col))
         tbl = align_to_schema(tbl, schema)
         return tbl if mask is None else tbl.filter(mask)
 
-    from engine.writer import read_tables_parallel
+    tables = read_tables_parallel(hits, read=read)
+    return kept, pa.concat_tables(tables) if tables else schema.empty_table()
 
-    hits = [t for t in read_tables_parallel(files, read=read) if t is not None]
-    return pa.concat_tables(hits) if hits else schema.empty_table()
+
+def _executed(tbl: pa.Table) -> ray.data.Dataset:
+    """``tbl`` as a one-block Dataset that is already executed, so
+    consuming it starts no streaming executor (for one in-memory block
+    that costs ~20 ms: threads, a stats-actor round trip and a 10 ms
+    output poll). It sets the plan's snapshot as ``ExecutionPlan.execute``
+    does for in-memory sources, without that method's spilled-bytes
+    lookup: ``materialize()`` runs the lookup twice, each a raylet
+    ``FormatGlobalMemoryInfo`` RPC that fans out to every worker. The
+    fields are Ray-internal (Ray 2.49); ``tests/test_scan_plan.py``
+    pins that consuming the result starts no executor and no lookup."""
+    ds = ray.data.from_blocks([tbl])
+    plan, dag = ds._plan, ds._logical_plan.dag
+    (plan._snapshot_bundle,) = dag.output_data()
+    plan._snapshot_operator = dag
+    plan._snapshot_stats = plan._in_stats
+    return ds
 
 
 def _read_file(path: str, schema: pa.Schema) -> pa.Table:

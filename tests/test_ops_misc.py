@@ -208,28 +208,39 @@ def test_bloom_canonicalization_no_false_negatives(ray_session):
     assert out.col.isna().sum() == 0  # NULL never matches
 
 
-def test_float32_keys_canonicalize_like_float64(ray_session):
-    """A float32 key renders its own shortest repr, as a float64 or a
-    Python float of the same literal does, on both the vectorized and the
-    scalar path; a Bloom semi-join across the two widths finds its match."""
+def test_float32_keys_canonicalize_widened(ray_session):
+    """A float32 key canonicalizes as its float64 value (1.1 ->
+    '1.100000023841858') on the vectorized and the scalar path alike, so
+    a Bloom semi-join matches whatever SQL's widening comparison
+    matches: a float32 column probed with keys from its own
+    ``to_pylist()`` or with float32 keys, and a float64 column holding
+    the widened value probed with float32 keys."""
     from engine.lookup import _canon_keys, bloom_semi_join
 
-    lits = [1.1, 2.0, -0.5, 3.25, None]
-    want = ["1.1", "2", "-0.5", "3.25", None]
+    f32 = [np.float32(1.1), np.float32(2.0), np.float32(-0.5), None]
+    want = [str(float(np.float32(1.1))), "2", "-0.5", None]
+    assert want[0] == "1.100000023841858"
     for vals in (
-        lits,
-        np.array(lits, dtype=np.float64),
-        np.array(lits, dtype=np.float32),
-        [None if v is None else np.float32(v) for v in lits],
-        [None if v is None else np.float32(v) for v in lits] + ["x"],  # scalar path
+        np.array([1.1, 2.0, -0.5, np.nan], dtype=np.float32),  # vectorized
+        f32,  # vectorized (object column of numpy scalars)
+        f32 + ["x"],  # scalar path
+        [float(np.float32(1.1)), 2.0, -0.5, None],  # the widened Python floats
     ):
         got = [None if pd.isna(g) else g for g in _canon_keys(vals)]
-        assert got[: len(want)] == want, vals
-    for key_dtype, col_type in ((np.float32, pa.float64()), (np.float64, pa.float32())):
-        t = pa.table({"col": pa.array([1.1, 2.0, 7.5, None], col_type)})
-        keys = np.array([1.1, 2.0], dtype=key_dtype)
+        assert got[:4] == want, vals
+
+    col32 = pa.array([1.1, 2.0, 7.5, None], pa.float32())
+    col64 = pa.array([float(np.float32(1.1)), 2.0, 7.5, None], pa.float64())
+    keys32 = np.array([1.1, 2.0], dtype=np.float32)
+    for col, keys in (
+        (col32, col32.to_pylist()[:2]),
+        (col32, keys32),
+        (col32, list(keys32) + ["x"]),
+        (col64, keys32),
+    ):
+        t = pa.table({"col": col})
         out = bloom_semi_join(ray.data.from_arrow(t), keys, "col").to_pandas()
-        assert {round(float(v), 4) for v in out.col} >= {1.1, 2.0}, (key_dtype, col_type)
+        assert {float(v) for v in out.col} >= {float(k) for k in keys32}, (col.type, keys)
         assert out.col.isna().sum() == 0
 
 

@@ -314,13 +314,20 @@ def test_point_read_returns_every_version(tmp_table_root):
 
 
 @pytest.mark.parametrize(
-    "kwargs",
-    [{"predicate_stats": {"url": ("u9", "u9")}}, {}],
-    ids=["point", "sub_block"],
+    "kwargs,rows",
+    [
+        ({"predicate_stats": {"url": ("u9", "u9")}}, 3),
+        ({"predicate_stats": {"url": ("u2", "u2")}}, 0),
+        ({}, 11),
+    ],
+    ids=["point", "point_miss", "sub_block"],
 )
-def test_driver_read_is_already_executed(tmp_table_root, monkeypatch, kwargs):
-    """A point read or a sub-block read starts no read task, and
-    consuming it constructs no streaming executor."""
+def test_driver_read_is_already_executed(tmp_table_root, monkeypatch, kwargs, rows):
+    """A point read or a sub-block read starts no read task; consuming
+    it constructs no streaming executor, and neither building nor
+    consuming it asks the raylets for memory stats (``materialize()``
+    would, twice)."""
+    import ray.data._internal.plan as plan
     from ray.data._internal.execution import streaming_executor
 
     t, files = _evolved(tmp_table_root)
@@ -328,8 +335,53 @@ def test_driver_read_is_already_executed(tmp_table_root, monkeypatch, kwargs):
     def boom(*a, **k):
         raise AssertionError("driver-side read planned a read task or an executor")
 
+    memory_info = []
     monkeypatch.setattr(ray.data, "read_datasource", boom)
     monkeypatch.setattr(streaming_executor.StreamingExecutor, "__init__", boom)
+    monkeypatch.setattr(plan, "get_memory_info_reply", lambda *a, **k: memory_info.append(a))
     ds = t.scan(**kwargs)
-    rows = [b.num_rows for b in ds.iter_batches(batch_format="pyarrow", batch_size=None)]
-    assert sum(rows) == (len(files) if kwargs.get("predicate_stats") else 11)
+    got = [b.num_rows for b in ds.iter_batches(batch_format="pyarrow", batch_size=None)]
+    assert sum(got) == ds.count() == rows
+    assert ds.schema().names == VISIBLE
+    assert memory_info == []
+
+
+def test_point_read_above_point_read_bytes_uses_read_tasks(tmp_table_root, monkeypatch):
+    """Files holding the key that total more than POINT_READ_BYTES are
+    not decoded on the driver beyond their key column: they go whole to
+    the read tasks, and the files without the key stay dropped."""
+    import engine.manifest as manifest
+
+    t, files = _evolved(tmp_table_root)
+    want = {url: _sorted(_matching(files, url)) for url in ("u3", "u9")}
+    reads = []
+
+    class Spy(pq.ParquetFile):
+        def read(self, columns=None, **k):
+            reads.append(columns)
+            return super().read(columns=columns, **k)
+
+    monkeypatch.setattr(pq, "ParquetFile", Spy)
+    monkeypatch.setattr(ray.data.DataContext.get_current(), "target_min_block_size", 1)
+    planned = []
+    real_read = ray.data.read_datasource
+    monkeypatch.setattr(
+        ray.data,
+        "read_datasource",
+        lambda src, **k: planned.append([f.path for f in src._files]) or real_read(src, **k),
+    )
+    # u3 is only in b; u9 is in every file
+    for url, holders in (("u3", [files[1]]), ("u9", files)):
+        monkeypatch.setattr(manifest, "POINT_READ_BYTES", sum(f.bytes for f in holders) - 1)
+        reads.clear(), planned.clear()
+        ds = t.scan(predicate_stats={"url": (url, url)})
+        assert reads == [["url"]] * len(files)
+        assert planned == [[f.path for f in holders]]
+        assert ds.count() == sum(f.rows for f in holders)
+        got = _arrow(ds)
+        assert _sorted(got.filter(pc.equal(got.column("url"), url))) == want[url]
+    # at the bound the same files are read on the driver, matching rows only
+    monkeypatch.setattr(manifest, "POINT_READ_BYTES", files[1].bytes)
+    planned.clear()
+    got = _arrow(t.scan(predicate_stats={"url": ("u3", "u3")}))
+    assert planned == [] and _sorted(got) == want["u3"]
