@@ -4,7 +4,7 @@ to ``ray job submit`` on a real cluster::
     ray job submit -- python -m engine maintain --table /data/pages \\
         --input 's3://.../crawl/*.parquet'
     python -m engine ingest  --table T --input f1.parquet f2.parquet
-    python -m engine merge   --table T [--wide html]
+    python -m engine merge   --table T
     python -m engine compact --table T --target-mb 128 --job-id nightly
     python -m engine cluster --table T --curve zorder|hilbert
     python -m engine expire  --table T --ttl-hours 24
@@ -58,7 +58,6 @@ def main(argv=None) -> int:
     sp.add_argument("--id-field", default=None)
 
     sp = add("merge")
-    sp.add_argument("--wide", nargs="*", default=[])
     sp.add_argument("--key", default="url")
     sp.add_argument("--ts", default="warc_ts")
 
@@ -174,7 +173,7 @@ def main(argv=None) -> int:
         }
     elif args.cmd == "merge":
         t = Table.load(args.table)
-        c = EngineConfig(merge_key=args.key, merge_ts=args.ts, merge_wide_cols=tuple(args.wide))
+        c = EngineConfig(merge_key=args.key, merge_ts=args.ts)
         out = jobs.merge_into(t, c)
     elif args.cmd == "compact":
         t = Table.load(args.table)

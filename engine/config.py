@@ -32,27 +32,6 @@ class EngineConfig:
     #: number of hash buckets for the MERGE shuffle. Scale with cluster
     #: size: ~2-4x total cores so stragglers rebalance.
     merge_buckets: int = 64
-    #: wide binary payload columns kept OUT of the merge shuffle via the
-    #: two-phase winner-retrieval path (merge_datasets_wide); empty ->
-    #: auto-detect (see merge_wide_auto), () with auto off -> single-pass
-    #: merge moving full rows.
-    merge_wide_cols: tuple = ()
-    #: auto-route binary columns through the wide path when the table is
-    #: big enough that payload bytes dominate the exchange. A column
-    #: qualifies when its compressed-byte share (sampled from parquet
-    #: footers) >= merge_wide_share AND total live bytes >=
-    #: merge_wide_min_bytes. Local-scale tables stay on the single-pass
-    #: merge (the wide path's second input pass loses below ~100 MB).
-    merge_wide_auto: bool = True
-    merge_wide_share: float = 0.4
-    merge_wide_min_bytes: int = 192 * 1024 * 1024
-    #: the wide path trades TWO extra input passes for keeping payload
-    #: bytes off the exchange -- a win only when the exchange crosses a
-    #: network. On a single node the "shuffle" is shared-memory object
-    #: store, and the wide path measured 2.5x slower (BASELINE.md), so
-    #: auto-routing additionally requires a multi-node cluster unless
-    #: this forces it on.
-    merge_wide_single_node: bool = False
 
     # --- clustering ------------------------------------------------------
     cluster_cols: tuple = ("lang", "url")

@@ -120,9 +120,9 @@ def hash64_strings(arr) -> np.ndarray:
 
 def hash64_keys(keys) -> np.ndarray:
     """64-bit hash of a key column of ANY type -- the ONE dispatch for
-    every consumer whose two sides must hash identically within a run
-    (merge bucket assignment across both wide-path exchanges, the
-    wide-merge winner pair-hash build+probe). Arrow string /
+    every consumer whose batches must agree on a key's hash within a
+    run (merge bucket assignment, the streaming-upsert shard routing,
+    the hash-partitioned top-k and windows). Arrow string /
     large_string columns ride :func:`hash64_strings` (zero per-row
     Python); other types fall back to the pandas object hash. Accepts
     ``pa.Array`` / ``pa.ChunkedArray`` / ``pd.Series``. Null handling
@@ -263,8 +263,8 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id", hashed=None)
     # dict per winner, seconds of pure interpreter at the 2M routing cap
     win_col = f"min({id_col})"
     wdf = winners.select_columns([win_col]).to_pandas()
-    # to_pandas() of an EMPTY Dataset drops the columns (same hazard
-    # guarded in merge_datasets_wide) -- an empty corpus has no winners
+    # to_pandas() of an EMPTY Dataset drops the columns -- an empty
+    # corpus has no winners
     keep_ids = np.sort(wdf[win_col].to_numpy()) if win_col in wdf.columns else np.array([], np.int64)
     keep_ref = ray.put(keep_ids)
 

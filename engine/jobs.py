@@ -228,67 +228,6 @@ def ingest_sharded(
     }
 
 
-def payload_column_shares(table: Table, sample_files: int = 4, live=None) -> dict:
-    """Per-column compressed-byte share, from a few parquet FOOTERS
-    (metadata-only IO). Drives the wide-merge auto-routing decision:
-    at 100 TB the html payload dominates table bytes, and shipping it
-    through the merge exchange is the round-1 VERDICT scale-killer #3.
-    ``live``: pass an already-parsed file list to skip the manifest
-    parse (a 10^6-file manifest is a real pass)."""
-    import pyarrow.parquet as pq
-
-    files = live if live is not None else table.live_files()
-    step = max(1, len(files) // sample_files)
-    agg: dict = {}
-    total = 0
-    for fe in files[::step][:sample_files]:
-        md = pq.ParquetFile(fe.path).metadata
-        for rg in range(md.num_row_groups):
-            for ci in range(md.num_columns):
-                col = md.row_group(rg).column(ci)
-                name = col.path_in_schema.split(".")[0]
-                agg[name] = agg.get(name, 0) + col.total_compressed_size
-                total += col.total_compressed_size
-    if total == 0:
-        return {}
-    return {k: v / total for k, v in agg.items()}
-
-
-def _auto_wide_cols(table: Table, cfg: EngineConfig, snap=None) -> list:
-    """Binary columns worth routing through the two-phase wide merge:
-    payload share >= cfg.merge_wide_share on a table >=
-    cfg.merge_wide_min_bytes. Below the size floor the single-pass
-    merge wins (the wide path costs a second input scan).
-
-    ``snap``: the caller's already-parsed Snapshot; without it this
-    probe would re-deserialize the full manifest up to three times
-    (schema + two file-list walks) inside merge_into's documented
-    one-parse budget."""
-    if snap is None:
-        snap = table.snapshot()
-    schema = snap.arrow_schema()
-    if schema is None:
-        return []
-    binary_cols = [
-        f.name
-        for f in schema
-        if pa.types.is_binary(f.type) or pa.types.is_large_binary(f.type)
-    ]
-    if not binary_cols:
-        return []
-    if not cfg.merge_wide_single_node:
-        import ray
-
-        alive = [n for n in ray.nodes() if n.get("Alive", False)] if ray.is_initialized() else []
-        if len(alive) <= 1:
-            return []  # no network to save: single-pass merge wins
-    total_bytes = sum(f.bytes for f in snap.files)
-    if total_bytes < cfg.merge_wide_min_bytes:
-        return []
-    shares = payload_column_shares(table, live=snap.files)
-    return [c for c in binary_cols if shares.get(c, 0.0) >= cfg.merge_wide_share]
-
-
 @ray.remote(num_cpus=1)
 def _merge_small_task(
     paths: list,
@@ -344,30 +283,8 @@ def merge_into(
     # (the user's hot-bucket / skew knob: raising it always takes effect)
     blocks = max(_shuffle_blocks(table, cfg, live=live), int(cfg.merge_buckets or 0))
 
-    def build():
-        # coalesce AT THE READ (override_num_blocks) instead of a
-        # repartition exchange after it: the sort-shuffle's cost grows
-        # with input block count (the planner splits these files to
-        # ~290 tiny blocks and the exchange degenerates -- measured
-        # 119-193 s vs 6.6 s at the 2.4 M-row scaling config), and a
-        # post-read repartition fixes that only by paying a second
-        # all-to-all (10.9 s -> 6.9 s at 8 CPUs without it). blocks is
-        # bytes-derived, so each read task stays ~32 MB regardless of
-        # file count. A union'd source keeps its own blocks and rides
-        # one repartition: its block layout is unknown here and the
-        # sort degenerates on many tiny blocks.
-        ds = table.scan(override_num_blocks=blocks)
-        if source is not None:
-            ds = ds.union(source).repartition(blocks)
-        return ds
-
-    names = set(schema.names) if schema is not None else set()
-    wide = [c for c in (cfg.merge_wide_cols or ()) if c in names]
-    if not wide and cfg.merge_wide_auto:
-        wide = _auto_wide_cols(table, cfg, snap=snap)
     if (
-        not wide
-        and source is None
+        source is None
         and live
         and schema is not None
         and not cfg.shuffle_blocks  # explicit partitioning pin wins
@@ -389,16 +306,21 @@ def merge_into(
         )
         entries = [FileEntry.from_json(r) for r in rows_out]
     else:
-        if wide:
-            from engine.merge import merge_datasets_wide
-
-            merged = merge_datasets_wide(
-                build, wide, key=cfg.merge_key, ts=cfg.merge_ts, num_buckets=blocks
-            )
-        else:
-            merged = merge_datasets(
-                build(), key=cfg.merge_key, ts=cfg.merge_ts, num_buckets=blocks
-            )
+        # coalesce AT THE READ (override_num_blocks) instead of a
+        # repartition exchange after it: the sort-shuffle's cost grows
+        # with input block count (the planner splits these files to
+        # ~290 tiny blocks and the exchange degenerates -- measured
+        # 119-193 s vs 6.6 s at the 2.4 M-row scaling config), and a
+        # post-read repartition fixes that only by paying a second
+        # all-to-all (10.9 s -> 6.9 s at 8 CPUs without it). blocks is
+        # bytes-derived, so each read task stays ~32 MB regardless of
+        # file count. A union'd source keeps its own blocks and rides
+        # one repartition: its block layout is unknown here and the
+        # sort degenerates on many tiny blocks.
+        ds = table.scan(override_num_blocks=blocks)
+        if source is not None:
+            ds = ds.union(source).repartition(blocks)
+        merged = merge_datasets(ds, key=cfg.merge_key, ts=cfg.merge_ts, num_buckets=blocks)
         entries = write_files(
             merged, table.data_dir, prefix=f"merge-{job_id}", stats_cols=cfg.stats_cols
         )

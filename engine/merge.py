@@ -23,9 +23,10 @@ Execution (Ray-Data-first, single pass over the input):
    assumption of this operator); NULL/empty-key passthrough rows are
    spread round-robin across buckets instead of being split into a
    second branch, which would re-scan the input,
-2. ``groupby("__bucket").map_groups(fold)`` -- ONE vectorized pandas fold
-   per bucket (C-speed groupby inside), NOT one Python call per key;
-   the fold passes NULL-key rows through unmerged.
+2. ``groupby("__bucket").map_groups(fold)`` -- ONE Arrow fold
+   (:func:`merge_fold_passthrough_arrow`: a (key, ts) sort plus numpy
+   segment picks) per bucket, NOT one Python call per key; the fold
+   passes NULL-key rows through unmerged.
 
 Skew: the key is ``url`` (high cardinality), so bucket skew is
 statistical, not semantic; hot buckets are bounded by raising B
@@ -38,7 +39,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 
 
 def _is_missing_key(arr: pa.Array):
@@ -74,12 +74,13 @@ def ts_i64_arrow(arr):
     """Arrow ts column -> canonical int64 (MICROSECONDS for timestamps,
     raw int64 otherwise); null -> INT64_MIN (oldest writer).
 
-    This is the ONE ts->int64 path shared by the wide-merge winner
-    join/pair-hash AND the streaming-upsert index: pandas
-    ``astype("datetime64[us]")`` FLOORS while ``pc.cast(safe=False)``
-    truncates toward zero, so for pre-epoch values with sub-us
-    remainders (-1500ns -> -2 vs -1) two code paths would disagree by
-    1us and (key, ts) equality checks would silently miss (ADVICE r3).
+    This is the ONE ts->int64 path of the streaming-upsert index, used
+    by both its live ``upsert`` and its ``rebuild_from_table`` recovery:
+    pandas ``astype("datetime64[us]")`` FLOORS while
+    ``pc.cast(safe=False)`` truncates toward zero, so for pre-epoch
+    values with sub-us remainders (-1500ns -> -2 vs -1) two code paths
+    would disagree by 1us and a recovered index would mis-rank the next
+    upsert (ADVICE r3).
 
     Accepts timestamp, integer, or ISO-8601 string columns (strings
     parse through Arrow's string->timestamp cast, trying us -> ns ->
@@ -116,10 +117,8 @@ def _add_bucket(batch: pa.Table, key: str, num_buckets: int) -> pa.Table:
     rows) are spread round-robin so no bucket becomes a null hotspot.
 
     Key hashing is `dedup.hash64_keys` -- the one dispatch (Arrow
-    buffer for strings, pandas object hash otherwise) shared with the
-    wide-merge winner pair-hash. Both exchanges of the wide path call
-    this same function, so bucket assignment always agrees within a
-    run."""
+    buffer for strings, pandas object hash otherwise), so every batch
+    of a merge assigns a key to the same bucket."""
     from engine.dedup import hash64_keys
 
     col = batch.column(key)
@@ -128,45 +127,6 @@ def _add_bucket(batch: pa.Table, key: str, num_buckets: int) -> pa.Table:
     if missing.any():
         buckets[missing] = np.arange(missing.sum()) % num_buckets
     return batch.append_column("__bucket", pa.array(buckets))
-
-
-def merge_fold(df: pd.DataFrame, key: str, ts: str) -> pd.DataFrame:
-    """Vectorized LWW + non-empty-coalesce fold over one bucket.
-
-    Runs pandas C kernels over *all* keys in the bucket at once.
-
-    TEST ORACLE ONLY -- every production path (distributed buckets,
-    small-table task, streaming upsert) folds with
-    :func:`merge_fold_arrow`. Known representational gap: pandas
-    cannot hold a float NaN distinct from null, so this fold coalesces
-    past NaN where the engine contract (Arrow/SQL semantics, defined
-    by ``merge_fold_arrow``) treats NaN as a VALID value -- only null
-    and ""/b"" coalesce. Parity fuzzing therefore avoids value-NaN
-    floats; the NaN contract is pinned by its own unit test.
-    """
-    if df.empty:
-        return df
-    # null ts sorts FIRST: a null-timestamp row is the oldest writer and
-    # never beats a timestamped one (same rule as the streaming index,
-    # where NaT maps to INT64_MIN)
-    df = df.sort_values(ts, kind="stable", na_position="first")
-    value_cols = [c for c in df.columns if c != key]
-    anchor = df.drop_duplicates(subset=[key], keep="first").set_index(key)
-
-    masked = df.copy()
-    for c in value_cols:
-        col = masked[c]
-        if col.dtype == object or pd.api.types.is_string_dtype(col):
-            # empty string / empty bytes count as "missing"
-            # (csv_handler.py:91-95); vectorized -- isin is False for
-            # NaN so notna() carries the null semantics
-            masked[c] = col.where(col.notna() & ~col.isin(("", b"")))
-    # groupby.last skips missing values -> "latest non-empty"; fillna
-    # from the anchor covers the all-missing case (anchor's literal,
-    # possibly empty, value -- csv_handler.py:86-89)
-    last_nonempty = masked.groupby(key, sort=False).last()
-    out = last_nonempty.fillna(anchor[value_cols])
-    return out.reset_index()[df.columns.tolist()]
 
 
 def _is_textual(t: pa.DataType) -> bool:
@@ -179,10 +139,11 @@ def _is_textual(t: pa.DataType) -> bool:
 
 
 def merge_fold_arrow(t: pa.Table, key: str, ts: str) -> pa.Table:
-    """:func:`merge_fold` re-expressed as Arrow kernels + O(n) numpy
-    segment passes -- no pandas frame, no object-dtype round trip.
+    """Vectorized LWW + non-empty-coalesce fold as Arrow kernels + O(n)
+    numpy segment passes -- no pandas frame, no object-dtype round trip.
 
-    Same semantics (parity-fuzzed in tests/test_merge.py): sort by
+    Same semantics as the pandas oracle ``merge_fold`` in
+    ``tests/merge_oracle.py`` (parity-fuzzed in tests/test_merge.py): sort by
     (key, ts) stable with null ts first (pandas sorts by ts alone, but
     per-key relative order -- which is all the fold reads -- is
     identical); per key and column take the LAST non-missing value
@@ -231,14 +192,6 @@ def _fold_plan(t: pa.Table, key: str, ts: str):
     return idx_np, starts, keys_sorted
 
 
-def _last_ok_pick(ok: np.ndarray, idx_np: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Per group: ORIGINAL-coordinates index of the last row (in
-    (key, ts) order) where ``ok``, else the group's anchor row."""
-    cand = np.where(ok[idx_np], np.arange(len(idx_np), dtype=np.int64), np.int64(-1))
-    last = np.maximum.reduceat(cand, starts)
-    return idx_np[np.where(last >= 0, last, starts)]
-
-
 def _winner_pick(arr, idx_np: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Original-coordinates winner row per group for one value column:
     last non-missing in (key, ts) order, else the anchor row."""
@@ -246,350 +199,20 @@ def _winner_pick(arr, idx_np: np.ndarray, starts: np.ndarray) -> np.ndarray:
     if _is_textual(arr.type):
         missing = pc.or_(missing, pc.equal(pc.binary_length(arr), 0))
     ok = pc.fill_null(pc.invert(missing), False).to_numpy(zero_copy_only=False)
-    return _last_ok_pick(ok, idx_np, starts)
+    cand = np.where(ok[idx_np], np.arange(len(idx_np), dtype=np.int64), np.int64(-1))
+    last = np.maximum.reduceat(cand, starts)
+    return idx_np[np.where(last >= 0, last, starts)]
 
 
 def merge_fold_passthrough_arrow(t: pa.Table, key: str, ts: str) -> pa.Table:
-    """Arrow-side :func:`merge_fold_passthrough`: NULL/empty-key rows
-    pass through unmerged, everything else folds."""
+    """The per-bucket merge fold: NULL/empty-key rows pass through
+    unmerged, everything else folds (:func:`merge_fold_arrow`)."""
     null_mask = _is_missing_key(t.column(key))
     passthrough = t.filter(null_mask)
     merged = merge_fold_arrow(t.filter(pc.invert(null_mask)), key, ts)
     if len(passthrough) == 0:
         return merged
     return pa.concat_tables([merged, passthrough])
-
-
-from engine.dedup import _mix64  # single 64-bit finalizer definition repo-wide
-
-
-def _bloom_set(h: np.ndarray, num_bits: int, k: int = 4) -> np.ndarray:
-    """Packed Bloom bitmap over precomputed 64-bit hashes (double
-    hashing; k positions per element)."""
-    bits = np.zeros(num_bits // 8 + 1, dtype=np.uint8)
-    if len(h):
-        h2 = _mix64(h) | np.uint64(1)
-        i = np.arange(k, dtype=np.uint64)[None, :]
-        with np.errstate(over="ignore"):
-            pos = ((h[:, None] + i * h2[:, None]) % np.uint64(num_bits)).astype(np.int64).ravel()
-        np.bitwise_or.at(bits, pos >> 3, (1 << (pos & 7)).astype(np.uint8))
-    return bits
-
-
-def _bloom_probe(h: np.ndarray, bits: np.ndarray, num_bits: int, k: int = 4) -> np.ndarray:
-    if not len(h):
-        return np.zeros(0, dtype=bool)
-    h2 = _mix64(h) | np.uint64(1)
-    i = np.arange(k, dtype=np.uint64)[None, :]
-    with np.errstate(over="ignore"):
-        pos = ((h[:, None] + i * h2[:, None]) % np.uint64(num_bits)).astype(np.int64)
-    return ((bits[pos >> 3] >> (pos & 7)) & 1).all(axis=1)
-
-
-def _dedup_key_ts_nonempty(t: pa.Table, key: str, ts_i64, w: str) -> pa.Table:
-    """One row per (key, ts) preferring a NON-EMPTY ``w`` payload, ties
-    among equally non-empty rows broken by LAST original row order --
-    the SAME rule as ``_winner_pick``'s last-ok pick for light columns,
-    so the wide path's payload row is the row whose light values the
-    phase-A fold chose (an earliest-row rule here returned an html that
-    never co-occurred with the merged text when two writers shared the
-    winning ts). The kept row per group minimizes (empty, -original
-    index). No ``to_pandas`` -- the payload bytes never round-trip
-    through PyObjects, and output types are the input Arrow types.
-
-    Grouping is on CANONICAL microsecond ts: two ns-resolution writers
-    inside the same microsecond are one tie group (they are already
-    indistinguishable at the downstream (key, __wts) join)."""
-    if len(t) == 0:
-        return t
-    arr = t.column(w).combine_chunks()
-    empty = pc.fill_null(pc.or_(pc.is_null(arr), pc.equal(pc.binary_length(arr), 0)), True)
-    n = len(t)
-    order = pa.table(
-        {
-            "__k": t.column(key),
-            "__t": pa.array(np.asarray(ts_i64, np.int64)),
-            "__e": empty,
-            "__i": pa.array(np.arange(n, dtype=np.int64)),
-        }
-    )
-    idx = pc.sort_indices(
-        order,
-        sort_keys=[
-            ("__k", "ascending"),
-            ("__t", "ascending"),
-            ("__e", "ascending"),
-            ("__i", "descending"),  # last writer wins the tie, like _winner_pick
-        ],
-        null_placement="at_start",
-    )
-    idx_np = idx.to_numpy()
-    kc = pc.dictionary_encode(order.column("__k").take(idx).combine_chunks()).indices.to_numpy()
-    tv = order.column("__t").take(idx).to_numpy()
-    starts = np.flatnonzero(np.r_[True, (kc[1:] != kc[:-1]) | (tv[1:] != tv[:-1])])
-    return t.take(pa.array(np.sort(idx_np[starts])))
-
-
-def merge_datasets_wide(
-    ds_factory,
-    wide_cols,
-    key: str = "url",
-    ts: str = "warc_ts",
-    num_buckets: int = 64,
-    winner_filter: str = "auto",
-    exact_limit: int = 2_000_000,
-):
-    """MERGE INTO that keeps wide binary payload columns (html) OUT of
-    the main shuffle (SURVEY 4.2: "keep html:binary columns out of
-    shuffles").
-
-    Phase A shuffles only the light columns plus one boolean non-empty
-    marker per wide column; its fold produces the merged light row and,
-    per key, the winning timestamp of each wide column (max ts among
-    rows with non-empty payload, else the anchor ts). Phase B streams
-    the input a second time and keeps only winning payload rows -- ~1/D
-    of the payload bytes at duplicate factor D -- which ride one bucket
-    exchange to be attached to their merged light rows. NULL/empty-key
-    rows bypass both phases entirely (full-row passthrough, no shuffle).
-
-    ``ds_factory``: zero-arg callable returning a fresh Dataset over the
-    input (each phase is one streaming pass; a Dataset pipeline is
-    single-use).
-
-    ``winner_filter`` picks how phase B recognizes winning payload rows:
-
-    - ``"exact"``: the sorted uint64 pair-hash set is collected and
-      broadcast -- exact, driver memory O(merged keys); right up to
-      ~10^7 keys per job.
-    - ``"bloom"``: a Bloom bitmap over the pair hashes is built
-      DISTRIBUTED (per-block partial bitmaps, OR-reduced) and
-      broadcast -- driver memory is the fixed bitmap (~2 bytes/key at
-      16 bits/key), independent of key count. False positives only let
-      extra payload rows ride the bucket exchange; the attach join is
-      keyed on the exact ``(key, winning_ts)`` columns, so they are
-      dropped there -- semantics stay exact.
-    - ``"auto"``: exact below ``exact_limit`` merged keys, bloom above.
-
-    Returns a Dataset with the same columns as the input.
-    """
-    wide_cols = list(wide_cols)
-    has_cols = [f"__has_{w}" for w in wide_cols]
-    wts_cols = [f"__wts_{w}" for w in wide_cols]
-    light = ds_factory()
-    in_schema0 = light.schema()
-    schema_names = in_schema0.names
-    light_cols = [c for c in schema_names if c not in wide_cols]
-
-    # winner timestamps go through the ONE module-level ts_i64_arrow
-    # cast everywhere (ADVICE r2/r3): all pair-hash / join sides agree
-    # by construction or wide columns come back silently null.
-
-    def mark(t: pa.Table) -> pa.Table:
-        keep = pc.invert(_is_missing_key(t.column(key)))
-        t = t.filter(keep)
-        out = t.select(light_cols)
-        for w in wide_cols:
-            arr = t.column(w)
-            nonempty = pc.and_kleene(pc.is_valid(arr), pc.greater(pc.binary_length(arr), 0))
-            out = out.append_column(f"__has_{w}", pc.fill_null(nonempty, False))
-        return out
-
-    keyed = light.map_batches(mark, batch_format="pyarrow", zero_copy_batch=True).map_batches(
-        _add_bucket,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        fn_kwargs={"key": key, "num_buckets": num_buckets},
-    )
-
-    def fold(t: pa.Table) -> pa.Table:
-        t = t.drop_columns(["__bucket"])
-        if len(t) == 0:
-            return t.drop_columns(has_cols)
-        # same Arrow fold engine as the single-pass path (`_fold_plan`
-        # segment layout; null ts sorts FIRST = oldest writer). Winner
-        # timestamps leave the fold as canonical int64 (NaT ->
-        # INT64_MIN) through the ONE shared cast (`ts_i64_arrow`) so
-        # they survive hashing and joins. The winning ts of a wide
-        # column is the ts of the last row with a non-empty payload
-        # (the __has marker), else the anchor row's ts -- a __has mask
-        # fed to the same last-ok segment pick the value columns use.
-        idx_np, starts, keys_sorted = _fold_plan(t, key, ts)
-        cols = {}
-        for name in light_cols:
-            if name == key:
-                cols[name] = keys_sorted.take(pa.array(starts))
-                continue
-            arr = t.column(name).combine_chunks()
-            cols[name] = arr.take(pa.array(_winner_pick(arr, idx_np, starts)))
-        merged = pa.table(cols)
-        tsi = ts_i64_arrow(t.column(ts).combine_chunks()).to_numpy(zero_copy_only=False)
-        for w in wide_cols:
-            has = pc.fill_null(
-                t.column(f"__has_{w}").combine_chunks(), False
-            ).to_numpy(zero_copy_only=False)
-            pick = _last_ok_pick(has, idx_np, starts)
-            merged = merged.append_column(f"__wts_{w}", pa.array(tsi[pick], pa.int64()))
-        return merged
-
-    # materialize: merged_light is consumed twice (winner collection +
-    # attach); without pinning, the whole phase-A shuffle re-executes
-    merged_light = keyed.groupby("__bucket").map_groups(fold, batch_format="pyarrow").materialize()
-
-    # winner set per wide column, as sorted uint64 hashes of
-    # (key, ts_int64) pairs -> broadcast; membership checks are then one
-    # vectorized np.isin per batch instead of a Python loop. ts must
-    # already be canonical int64 (NaT == INT64_MIN) on BOTH sides.
-    # Key hashing is dedup.hash64_keys (Arrow buffer for strings, zero
-    # per-row Python); both the winner-collection and attach sides go
-    # through THIS one function, so membership stays consistent.
-    def _pair_hash(keys, ts_i64) -> np.ndarray:
-        from engine.dedup import hash64_keys
-
-        ht = pd.util.hash_array(np.asarray(ts_i64, dtype=np.int64))
-        return (hash64_keys(keys) * np.uint64(0x9E3779B97F4A7C15)) ^ ht
-
-    def _ts_i64_col(t: pa.Table) -> np.ndarray:
-        return ts_i64_arrow(t.column(ts)).to_numpy(zero_copy_only=False)
-
-    n_keys = merged_light.count()
-    use_bloom = winner_filter == "bloom" or (winner_filter == "auto" and n_keys > exact_limit)
-    if use_bloom:
-        # distributed bitmap build: each block contributes a partial
-        # bitmap; only fixed-size bitmaps ever reach the driver
-        num_bits = max(1 << 20, 16 * n_keys)
-
-        def partial_bloom(df: pd.DataFrame) -> pd.DataFrame:
-            row = {}
-            for w in wide_cols:
-                h = _pair_hash(df[key], df[f"__wts_{w}"])
-                row[f"__bloom_{w}"] = [_bloom_set(h, num_bits).tobytes()]
-            return pd.DataFrame(row)
-
-        # STREAM the partials into the aggregate (iter_rows): take_all
-        # would hold blocks x bitmap on the driver at once, defeating
-        # the "fixed driver memory" point of the bloom path (ADVICE r2)
-        winners = {w: np.zeros(num_bits // 8 + 1, dtype=np.uint8) for w in wide_cols}
-        for r in (
-            merged_light.select_columns([key] + wts_cols)
-            .map_batches(partial_bloom, batch_format="pandas")
-            .iter_rows()
-        ):
-            for w in wide_cols:
-                winners[w] |= np.frombuffer(r[f"__bloom_{w}"], dtype=np.uint8)
-    elif n_keys == 0:
-        # all rows were NULL/empty-key passthrough: to_pandas of the
-        # empty Dataset drops the columns and win_df[key] would
-        # KeyError before the passthrough union ever ran
-        num_bits = 0
-        winners = {w: np.empty(0, np.uint64) for w in wide_cols}
-    else:
-        num_bits = 0
-        win_df = merged_light.select_columns([key] + wts_cols).to_pandas()
-        winners = {
-            w: np.sort(_pair_hash(win_df[key], win_df[f"__wts_{w}"])) for w in wide_cols
-        }
-    winners_ref = ray.put(winners)
-
-    def winning_payloads(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.invert(_is_missing_key(t.column(key))))
-        wmap = ray.get(winners_ref)
-        tsi_all = _ts_i64_col(t)
-        h = _pair_hash(t.column(key), tsi_all)
-        out = None
-        for w in wide_cols:
-            if use_bloom:
-                mask_np = _bloom_probe(h, wmap[w], num_bits)
-            else:
-                mask_np = np.isin(h, wmap[w])
-            sub = t.filter(pa.array(mask_np)).select([key, ts, w])
-            # per-COLUMN (key, ts)-tie dedup BEFORE joining columns
-            # together: prefer a NON-EMPTY payload on ties (the
-            # has-marker that elected this ts was set by a non-empty
-            # writer); keeping empty-ish rows at all covers the
-            # all-writers-empty key, whose merged value is the anchor's
-            # literal (possibly empty/null) payload. Must be per column
-            # -- a joint dedup could drop the only row carrying another
-            # column's non-empty payload.
-            if len(sub):
-                # the canonical ts ints were computed ONCE for the pair
-                # hash; slice them with the same mask instead of a
-                # second cast pass per wide column
-                sub = _dedup_key_ts_nonempty(sub, key, tsi_all[mask_np], w)
-            out = sub if out is None else out.join(sub, keys=[key, ts], join_type="full outer")
-        return out
-
-    # phase B touches ONLY (key, ts, wide): select_columns right after
-    # the factory lets Ray push the projection into the parquet read --
-    # the second scan never deserializes the other payload columns
-    # (text is ~47% of table bytes at the bench config)
-    payloads = (
-        ds_factory()
-        .select_columns([key, ts] + wide_cols)
-        .map_batches(winning_payloads, batch_format="pyarrow", zero_copy_batch=True)
-    )
-
-    # union requires one schema: align both sides to the superset
-    # (missing columns null-filled), then tag the side.
-    type_of = dict(zip(in_schema0.names, in_schema0.types))
-    union_schema = pa.schema(
-        [(n, type_of[n]) for n in schema_names]
-        + [(c, pa.int64()) for c in wts_cols]  # canonical int64 winner ts
-        + [("__side", pa.int8())]
-    )
-
-    def align_and_tag(side):
-        from engine.jobs import align_to_schema
-
-        def f(t: pa.Table) -> pa.Table:
-            t = t.drop_columns([c for c in t.column_names if c not in union_schema.names])
-            out = align_to_schema(t, union_schema.remove(union_schema.get_field_index("__side")))
-            return out.append_column("__side", pa.array([side] * len(out), pa.int8()))
-
-        return f
-
-    light_keyed = merged_light.map_batches(align_and_tag(0), batch_format="pyarrow").map_batches(
-        _add_bucket, batch_format="pyarrow", fn_kwargs={"key": key, "num_buckets": num_buckets}
-    )
-    payl_keyed = payloads.map_batches(align_and_tag(1), batch_format="pyarrow").map_batches(
-        _add_bucket, batch_format="pyarrow", fn_kwargs={"key": key, "num_buckets": num_buckets}
-    )
-
-    def join_fold(t: pa.Table) -> pa.Table:
-        # ARROW-side fold on purpose: a pandas frame here would upcast
-        # every int column to float64 (payload rows are null-filled in
-        # the union) and silently round uint64 simhash values through a
-        # 53-bit double mantissa.
-        t = t.drop_columns(["__bucket"])
-        side = t.column("__side")
-        light_rows = t.filter(pc.equal(side, 0)).drop_columns(["__side"] + list(wide_cols))
-        pay_rows = t.filter(pc.equal(side, 1))
-        for w in wide_cols:
-            pay = pay_rows
-            tsi = ts_i64_arrow(pay.column(ts))
-            m = pa.table(
-                {key: pay.column(key), f"__wts_{w}": tsi, w: pay.column(w)}
-            )
-            # authoritative (key, ts)-tie dedup: the per-batch dedup in
-            # winning_payloads cannot see across batches. Same non-empty
-            # preference (a null/empty payload must not shadow the
-            # non-empty writer that elected this winning ts).
-            m = _dedup_key_ts_nonempty(m, key, tsi, w)
-            light_rows = light_rows.join(
-                m, keys=[key, f"__wts_{w}"], join_type="left outer"
-            )
-        return light_rows.drop_columns(list(wts_cols)).select(list(schema_names))
-
-    joined = light_keyed.union(payl_keyed).groupby("__bucket").map_groups(
-        join_fold, batch_format="pyarrow"
-    )
-
-    # NULL/empty-key rows: full-row passthrough, payload intact, no shuffle
-    passthrough = ds_factory().map_batches(
-        lambda t: t.filter(_is_missing_key(t.column(key))),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    return joined.union(passthrough)
 
 
 def merge_datasets(
@@ -617,19 +240,3 @@ def merge_datasets(
         return merge_fold_passthrough_arrow(t.drop_columns(["__bucket"]), key, ts)
 
     return keyed.groupby("__bucket").map_groups(fold, batch_format="pyarrow")
-
-
-def merge_fold_passthrough(df: pd.DataFrame, key: str, ts: str) -> pd.DataFrame:
-    """The per-bucket merge fold including NULL/empty-key passthrough.
-
-    TEST ORACLE ONLY (see :func:`merge_fold`): production paths -- the
-    distributed per-bucket fold above, ``jobs._merge_small_task``, and
-    the streaming upsert -- all run
-    :func:`merge_fold_passthrough_arrow` / :func:`merge_fold_arrow`;
-    this pandas twin exists for the parity fuzz in tests/test_merge.py.
-    """
-    null_mask = df[key].isna() | (df[key] == "")
-    merged = merge_fold(df[~null_mask], key, ts)
-    if null_mask.any():
-        merged = pd.concat([merged, df[null_mask]], ignore_index=True)
-    return merged

@@ -272,24 +272,39 @@ def test_ingest_sharded_resume(tmp_path, ray_session):
     pd.testing.assert_frame_equal(a, b)
 
 
-def test_merge_into_wide_payload_path(tmp_table_root, ray_session):
-    from engine.jobs import ingest, merge_into
-    from engine.pages import synth_pages_table
-
-    cfg_wide = EngineConfig(merge_buckets=4, merge_wide_cols=("html",))
-    t = Table.create(tmp_table_root)
-    ingest(t, ray.data.from_arrow(synth_pages_table(800)), cfg_wide, sanitize_cols=())
-    merge_into(t, cfg_wide)
-    got = t.scan().to_pandas()
-    # equivalent to the single-pass merge on the same input
-    t2 = Table.create(tmp_table_root + "_plain")
-    ingest(t2, ray.data.from_arrow(synth_pages_table(800)), CFG, sanitize_cols=())
-    merge_into(t2, CFG)
-    exp = t2.scan().to_pandas()
+def _sorted_pages(df: pd.DataFrame) -> pd.DataFrame:
     cols = ["url", "warc_ts", "text", "lang", "html"]
-    a = got[cols].sort_values(cols, na_position="first", key=lambda s: s.astype(str)).reset_index(drop=True)
-    b = exp[cols].sort_values(cols, na_position="first", key=lambda s: s.astype(str)).reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b.astype(a.dtypes.to_dict()))
+    return (
+        df[cols]
+        .sort_values(cols, na_position="first", key=lambda s: s.astype(str))
+        .reset_index(drop=True)
+    )
+
+
+def _expected_merge(src: pa.Table) -> pd.DataFrame:
+    """``src`` merged by the pandas oracle (``tests/merge_oracle.py``).
+    Exact only while no url has two rows at one warc_ts, which holds
+    for ``synth_pages_table``: the oracle breaks ts ties by input
+    order, which the engine's routes do not share."""
+    from merge_oracle import merge_fold_passthrough
+
+    return _sorted_pages(merge_fold_passthrough(src.to_pandas(), "url", "warc_ts"))
+
+
+def test_merge_into_wide_payload_path(tmp_table_root, ray_session):
+    """A table with a binary html payload merges through the
+    distributed bucketed fold (``shuffle_blocks`` pins that route)
+    with every column, html included, equal to the oracle's rows."""
+    src = synth_pages_table(800)
+    assert pa.types.is_binary(src.schema.field("html").type)
+    cfg = EngineConfig(merge_buckets=4, shuffle_blocks=4)
+    t = Table.create(tmp_table_root)
+    ingest(t, ray.data.from_arrow(src), cfg, sanitize_cols=())
+    merge_into(t, cfg)
+    got = _sorted_pages(t.scan().to_pandas())
+    exp = _expected_merge(src)
+    assert got["html"].notna().all() and len(got) == len(exp)
+    pd.testing.assert_frame_equal(got, exp.astype(got.dtypes.to_dict()))
 
 
 def test_job_rerun_after_commit_is_noop(tmp_path, ray_session):
@@ -351,43 +366,22 @@ def test_failed_shard_recorded_and_retried(tmp_path, ray_session):
     assert log.failed() == {}  # committed retry clears the failure
 
 
-def test_merge_wide_auto_routing(tmp_table_root, ray_session):
-    # VERDICT r1 #3: html must leave the merge exchange once payload
-    # bytes dominate; below the size floor the single-pass merge stays.
-    from engine.jobs import _auto_wide_cols, ingest, merge_into, payload_column_shares
-    from engine.pages import synth_pages_table
+def test_merge_into_makes_no_topology_probe(tmp_table_root, ray_session, monkeypatch):
+    """A merge reads no cluster topology: with ``ray.nodes`` raising,
+    merging an 800-row table with a binary html payload still gives the
+    oracle's rows."""
+    import ray as ray_mod
 
+    def no_topology_probe():
+        raise AssertionError("merge_into called ray.nodes()")
+
+    src = synth_pages_table(800)
     t = Table.create(tmp_table_root)
-    ingest(t, ray.data.from_arrow(synth_pages_table(800)), CFG, sanitize_cols=())
-    shares = payload_column_shares(t)
-    assert shares.get("html", 0) > 0  # footer-sampled share present
-
-    # local-scale table below the default 192 MB floor -> no auto wide
-    assert _auto_wide_cols(t, EngineConfig()) == []
-    # floor lowered + share below threshold -> still single-pass
-    assert _auto_wide_cols(t, EngineConfig(merge_wide_min_bytes=1, merge_wide_share=0.99)) == []
-    # floor + share thresholds met but SINGLE NODE -> still single-pass
-    # (no network to save; wide path measured 2.5x slower locally)
-    assert _auto_wide_cols(t, EngineConfig(merge_wide_min_bytes=1,
-                                           merge_wide_share=shares["html"] / 2)) == []
-    # forced single-node override -> html auto-routes
-    low = EngineConfig(merge_wide_min_bytes=1, merge_wide_share=shares["html"] / 2,
-                       merge_wide_single_node=True)
-    assert _auto_wide_cols(t, low) == ["html"]
-
-    # an auto-routed merge produces the same table as the single-pass one
-    merge_into(t, EngineConfig(merge_buckets=4, merge_wide_min_bytes=1,
-                               merge_wide_share=shares["html"] / 2,
-                               merge_wide_single_node=True))
-    got = t.scan().to_pandas()
-    t2 = Table.create(tmp_table_root + "_plain")
-    ingest(t2, ray.data.from_arrow(synth_pages_table(800)), CFG, sanitize_cols=())
-    merge_into(t2, EngineConfig(merge_buckets=4, merge_wide_auto=False))
-    exp = t2.scan().to_pandas()
-    cols = ["url", "warc_ts", "text", "lang", "html"]
-    a = got[cols].sort_values(cols, na_position="first", key=lambda s: s.astype(str)).reset_index(drop=True)
-    b = exp[cols].sort_values(cols, na_position="first", key=lambda s: s.astype(str)).reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b.astype(a.dtypes.to_dict()))
+    ingest(t, ray.data.from_arrow(src), CFG, sanitize_cols=())
+    monkeypatch.setattr(ray_mod, "nodes", no_topology_probe)
+    merge_into(t, CFG)
+    got = _sorted_pages(t.scan().to_pandas())
+    pd.testing.assert_frame_equal(got, _expected_merge(src).astype(got.dtypes.to_dict()))
 
 
 def test_fused_sanitize_matches_staged(ray_session):
@@ -499,43 +493,6 @@ def test_ingest_unifies_heterogeneous_block_schemas(tmp_path, ray_session):
     assert set(t.arrow_schema().names) == {"url", "warc_ts", "lang"}
     rows = {r["url"]: r.get("lang") for r in t.scan().take_all()}
     assert rows == {"u1": None, "u2": "en"}
-
-
-def test_merge_wide_routing_matrix_fake_topology(tmp_table_root, ray_session, monkeypatch):
-    # round-4 VERDICT #6: the multi-node branch of the wide-merge gate
-    # was only ever exercised single-node (where it is correctly OFF).
-    # Inject a fake topology and pin the full routing matrix: wide ON
-    # only when a network exchange exists AND both the byte floor and
-    # the payload-share threshold are met; dead nodes are not topology.
-    import ray as ray_mod
-
-    from engine.jobs import _auto_wide_cols, ingest, payload_column_shares
-    from engine.pages import synth_pages_table
-
-    t = Table.create(tmp_table_root)
-    ingest(t, ray.data.from_arrow(synth_pages_table(800)), CFG, sanitize_cols=())
-    shares = payload_column_shares(t)
-    assert shares.get("html", 0) > 0
-    on = EngineConfig(merge_wide_min_bytes=1, merge_wide_share=shares["html"] / 2)
-
-    def fake_nodes(n_alive, n_dead=0):
-        return [{"Alive": True}] * n_alive + [{"Alive": False}] * n_dead
-
-    # 2 alive nodes + thresholds met -> wide ON (no override needed)
-    monkeypatch.setattr(ray_mod, "nodes", lambda: fake_nodes(2))
-    assert _auto_wide_cols(t, on) == ["html"]
-    # share below threshold stays OFF even with network
-    assert _auto_wide_cols(
-        t, EngineConfig(merge_wide_min_bytes=1, merge_wide_share=0.99)
-    ) == []
-    # bytes below the (default 192 MB) floor stays OFF even with network
-    assert _auto_wide_cols(t, EngineConfig(merge_wide_share=shares["html"] / 2)) == []
-    # a big cluster changes nothing beyond >1 (the gate is binary)
-    monkeypatch.setattr(ray_mod, "nodes", lambda: fake_nodes(256))
-    assert _auto_wide_cols(t, on) == ["html"]
-    # dead nodes do not count: 1 alive + 3 dead is a single-node host
-    monkeypatch.setattr(ray_mod, "nodes", lambda: fake_nodes(1, n_dead=3))
-    assert _auto_wide_cols(t, on) == []
 
 
 def test_dedup_lines_job_semantics(tmp_table_root, ray_session):

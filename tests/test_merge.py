@@ -10,8 +10,9 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from engine.merge import merge_datasets, merge_fold
+from engine.merge import merge_datasets
 from engine.pages import PAGES_CTE, read_pages
+from merge_oracle import merge_fold
 
 
 def _ts(i):
@@ -228,7 +229,8 @@ def test_arrow_fold_parity_with_pandas_fold_typed_fuzz():
     timestamps, empty strings/bytes, all-empty keys."""
     import numpy as np
 
-    from engine.merge import merge_fold_passthrough, merge_fold_passthrough_arrow
+    from engine.merge import merge_fold_passthrough_arrow
+    from merge_oracle import merge_fold_passthrough
 
     rng = np.random.default_rng(7)
     for trial in range(20):
@@ -319,14 +321,16 @@ def test_arrow_fold_nan_is_a_valid_value():
     assert out.column("null_col")[0].as_py() == 7.0  # nulls still coalesce
 
 
+def _merged_by_url(out) -> pd.DataFrame:
+    return out.to_pandas().sort_values("url", na_position="first").reset_index(drop=True)
+
+
 def test_wide_merge_preserves_numeric_dtypes(ray_session):
-    # regression: the wide path's union fold used pandas, upcasting
-    # every int to float64 and rounding uint64 simhash through a double
-    # mantissa -- schema must round-trip exactly
+    """The bucketed merge of a table with a binary payload keeps its
+    input types: an int64 stays int64 and a uint64 simhash stays uint64
+    at full width (a pandas fold would upcast both to float64, rounding
+    the uint64 through a 53-bit mantissa)."""
     import numpy as np
-    import pyarrow as pa
-    import ray.data
-    from engine.merge import merge_datasets_wide
 
     n = 200
     rng = np.random.default_rng(3)
@@ -342,71 +346,25 @@ def test_wide_merge_preserves_numeric_dtypes(ray_session):
             "simhash": pa.array(sig, pa.uint64()),
         }
     )
-    out = merge_datasets_wide(
-        lambda: ray.data.from_arrow(t).repartition(3), ["html"], num_buckets=4
-    )
-    got = pa.concat_tables([pa.Table.from_pandas(b) for b in out.iter_batches(batch_format="pandas")], promote_options="default")
+    out = merge_datasets(ray.data.from_arrow(t).repartition(3), num_buckets=4)
+    got = pa.concat_tables(out.iter_batches(batch_format="pyarrow"))
     schema = {f.name: str(f.type) for f in got.schema}
     assert schema["n_chars"] == "int64", schema
     assert schema["simhash"] == "uint64", schema
-    # every surviving simhash value is one of the originals, bit-exact
-    orig = set(sig.tolist())
-    assert all(v in orig for v in got.column("simhash").to_pylist())
-
-
-def test_wide_merge_bloom_filter_matches_exact(ray_session):
-    # the scale seam: Bloom winner filter (distributed bitmap, no driver
-    # key-set) must produce the identical merged output -- false
-    # positives are dropped by the exact (key, winning_ts) attach join
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from engine.merge import merge_datasets_wide
-
-    n = 400
-    urls = [None if i % 37 == 0 else f"u{i % 60}" for i in range(n)]
-    # include ts ties (two writers at the same instant for the same key)
-    ts = np.arange(n) // 2
-    t = pa.table(
-        {
-            "url": pa.array(urls, pa.string()),
-            "warc_ts": pa.array(ts.astype("datetime64[us]"), pa.timestamp("us")),
-            "html": pa.array(
-                [b"" if i % 11 == 0 else b"payload-%d" % i for i in range(n)], pa.binary()
-            ),
-            "text": pa.array([f"t{i}" if i % 5 else "" for i in range(n)]),
-        }
-    )
-
-    def run(mode):
-        out = merge_datasets_wide(
-            lambda: ray.data.from_arrow(t).repartition(4),
-            ["html"],
-            num_buckets=4,
-            winner_filter=mode,
-        )
-        df = out.to_pandas()
-        return df.sort_values(["url", "warc_ts", "text"], na_position="first").reset_index(
-            drop=True
-        )
-
-    exact, bloom = run("exact"), run("bloom")
-    pd.testing.assert_frame_equal(exact, bloom)
-    # sanity: merged keys + null passthrough rows all present
-    assert exact["url"].notna().sum() == 60
+    # u{k} is written at rows k, k+50, k+100, k+150: the last one wins
+    got = got.sort_by("n_chars").to_pydict()
+    win = list(range(150, 200))
+    assert got["url"] == [f"u{i % 50}" for i in win]
+    assert got["n_chars"] == win
+    assert got["simhash"] == [int(sig[i]) for i in win]
+    assert got["html"] == [b"<html>%d</html>" % i for i in win]
 
 
 def test_wide_merge_null_ts_matches_single_pass(ray_session):
-    # review finding: the wide path crashed on NULL warc_ts (NaN int
-    # cast in the winner pair-hash) and sorted NaT LAST, inverting the
-    # 'null-ts = oldest writer' invariant. It must match merge_datasets
-    # exactly, including ts-tie + empty-payload preference.
+    """NULL warc_ts is the oldest writer, non-empty values coalesce per
+    column (also across rows tied at the winning ts), and a NULL-url
+    row passes through with its payload."""
     import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from engine.merge import merge_datasets, merge_datasets_wide
 
     ts = [None, 5, None, None, 3, 7, 7, None]
     urls = ["u1", "u1", "u2", "u2", "u3", "u3", "u3", None]
@@ -423,78 +381,23 @@ def test_wide_merge_null_ts_matches_single_pass(ray_session):
             "text": pa.array(text, pa.string()),
         }
     )
-
-    def norm(ds):
-        df = ds.to_pandas()
-        return df.sort_values(["url", "warc_ts", "text"], na_position="first").reset_index(
-            drop=True
-        )
-
-    single = norm(merge_datasets(ray.data.from_arrow(t).repartition(3), num_buckets=4))
-    for mode in ("exact", "bloom"):
-        wide = norm(
-            merge_datasets_wide(
-                lambda: ray.data.from_arrow(t).repartition(3),
-                ["html"],
-                num_buckets=4,
-                winner_filter=mode,
-            )
-        )
-        pd.testing.assert_frame_equal(single, wide, check_dtype=False)
-    # u1: ts=5 writer wins the payload over the null-ts writer
-    u1 = single[single.url == "u1"]
-    assert u1.html.tolist() == [b"TS5"]
-    # u3: the ts=7 tie must attach the NON-EMPTY payload
-    u3 = single[single.url == "u3"]
-    assert u3.html.tolist() == [b"T7"]
-
-
-def test_wide_merge_two_wide_cols_split_payload_ties(ray_session):
-    # at a (key, ts) tie the non-empty payloads for the two wide columns
-    # live in DIFFERENT source rows: per-column dedup must keep both
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from engine.merge import merge_datasets, merge_datasets_wide
-
-    t = pa.table(
-        {
-            "url": pa.array(["u", "u", "v"], pa.string()),
-            "warc_ts": pa.array(
-                [np.datetime64(9, "us")] * 2 + [np.datetime64(1, "us")], pa.timestamp("us")
-            ),
-            "html": pa.array([b"HTML", b"", b"VH"], pa.binary()),
-            "img": pa.array([b"", b"IMG", b"VI"], pa.binary()),
-            "text": pa.array(["a", "b", "c"], pa.string()),
-        }
-    )
-
-    def norm(ds):
-        return ds.to_pandas().sort_values("url").reset_index(drop=True)
-
-    single = norm(merge_datasets(ray.data.from_arrow(t).repartition(2), num_buckets=2))
-    wide = norm(
-        merge_datasets_wide(
-            lambda: ray.data.from_arrow(t).repartition(2), ["html", "img"], num_buckets=2
-        )
-    )
-    pd.testing.assert_frame_equal(single, wide, check_dtype=False)
-    u = wide[wide.url == "u"].iloc[0]
-    assert u.html == b"HTML" and u.img == b"IMG"
+    got = _merged_by_url(merge_datasets(ray.data.from_arrow(t).repartition(3), num_buckets=4))
+    assert got.url.tolist() == [None, "u1", "u2", "u3"]
+    # u1: the ts=5 writer wins the payload over the null-ts writer, whose
+    # text survives because the winner's is empty; u2: both ts null, the
+    # empty html never shadows "A"; u3: at the ts=7 tie html comes from
+    # the row holding the NON-EMPTY payload and text from the other row
+    assert got.html.tolist() == [b"PASS", b"TS5", b"A", b"T7"]
+    assert got.text.tolist() == ["z", "a", "y", "q"]
+    assert got.warc_ts.isna().tolist() == [True, False, True, False]
+    assert got.warc_ts[1] == pd.Timestamp(5, unit="us")
+    assert got.warc_ts[3] == pd.Timestamp(7, unit="us")
 
 
 def test_wide_merge_ns_unit_source_column(ray_session):
-    # ADVICE r2: the fold-side winner ts and the Arrow-side casts must
-    # share ONE canonical int64 unit BY CONSTRUCTION. A timestamp[ns]
-    # source column previously relied on pandas preserving ns on both
-    # sides; a unit mismatch nulls EVERY wide column silently. Also
-    # covers the non-timestamp (plain int64 ts) case.
+    """A timestamp[ns] or a plain int64 ts column orders the merge in
+    its own unit and comes back in its own type."""
     import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from engine.merge import merge_datasets, merge_datasets_wide
 
     n = 120
     urls = [f"u{i % 30}" for i in range(n)]
@@ -510,42 +413,28 @@ def test_wide_merge_ns_unit_source_column(ray_session):
                 "text": pa.array([f"t{i}" for i in range(n)], pa.string()),
             }
         )
-
-        def norm(ds):
-            return ds.to_pandas().sort_values("url").reset_index(drop=True)
-
-        single = norm(merge_datasets(ray.data.from_arrow(t).repartition(3), num_buckets=4))
-        for mode in ("exact", "bloom"):
-            wide = norm(
-                merge_datasets_wide(
-                    lambda: ray.data.from_arrow(t).repartition(3),
-                    ["html"],
-                    num_buckets=4,
-                    winner_filter=mode,
-                )
-            )
-            # the failure mode is every html coming back null -- assert
-            # full equality against the single-pass merge instead
-            assert wide["html"].notna().all()
-            pd.testing.assert_frame_equal(single, wide, check_dtype=False)
+        out = merge_datasets(ray.data.from_arrow(t).repartition(3), num_buckets=4)
+        got = pa.concat_tables(out.iter_batches(batch_format="pyarrow"))
+        assert got.schema.field("warc_ts").type == ts_arr.type
+        # u{k} is written at rows k, k+30, k+60, k+90: the last one wins
+        got = got.sort_by("warc_ts")
+        win = list(range(90, 120))
+        assert got.column("warc_ts").cast(pa.int64()).to_pylist() == (
+            ts_arr.slice(90).cast(pa.int64()).to_pylist()
+        )
+        assert got.column("html").to_pylist() == [b"payload-%d" % i for i in win]
+        assert got.column("text").to_pylist() == [f"t{i}" for i in win]
 
 
 def test_wide_merge_pre_epoch_sub_us_timestamps(ray_session):
-    # ADVICE r3 (medium): fold-side pandas astype('datetime64[us]')
-    # FLOORS while the payload side's pc.cast(safe=False) truncates
-    # toward zero, so pre-epoch ns values with sub-us remainders
-    # (-1500ns -> -2us vs -1us) made the (key, __wts) join miss and the
-    # wide columns came back silently null. Both sides now share one
-    # Arrow cast path.
+    """Pre-epoch ns timestamps with sub-microsecond remainders order
+    the merge and come back bit-exact."""
     import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from engine.merge import merge_datasets, merge_datasets_wide
 
     n = 60
     urls = [f"u{i % 15}" for i in range(n)]
-    # every value pre-epoch with a NON-ZERO sub-microsecond remainder
+    # every value pre-epoch with a NON-ZERO sub-microsecond remainder;
+    # ts falls as i grows, so u{k}'s winner is its first row, k
     ns = -(np.arange(n, dtype=np.int64) * 1_000_000 + 1_500)
     t = pa.table(
         {
@@ -555,95 +444,19 @@ def test_wide_merge_pre_epoch_sub_us_timestamps(ray_session):
             "text": pa.array([f"t{i}" for i in range(n)], pa.string()),
         }
     )
-
-    def norm(ds):
-        return ds.to_pandas().sort_values("url").reset_index(drop=True)
-
-    single = norm(merge_datasets(ray.data.from_arrow(t).repartition(3), num_buckets=4))
-    for mode in ("exact", "bloom"):
-        wide = norm(
-            merge_datasets_wide(
-                lambda: ray.data.from_arrow(t).repartition(3),
-                ["html"],
-                num_buckets=4,
-                winner_filter=mode,
-            )
-        )
-        assert wide["html"].notna().all()
-        pd.testing.assert_frame_equal(single, wide, check_dtype=False)
-
-
-def test_dedup_key_ts_nonempty_matches_pandas_reference():
-    # direct parity with the declared rule: prefer non-empty, ties among
-    # equally non-empty rows keep the LAST original row (the same
-    # last-writer-wins pick _winner_pick applies to light columns, so
-    # the wide path's payload row is the row the phase-A fold chose;
-    # review r4 found the old keep-first rule could return an html that
-    # co-occurred with no merged text row)
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-
-    from engine.merge import _dedup_key_ts_nonempty
-
-    rng = np.random.default_rng(42)
-    pool = [None, b"", b"A", b"B", b"CC", b"payload"]
-    for trial in range(50):
-        n = int(rng.integers(1, 60))
-        keys = [f"u{i}" for i in rng.integers(0, 4, n)]
-        ts = rng.integers(0, 3, n).astype(np.int64)
-        payloads = [pool[i] for i in rng.integers(0, len(pool), n)]
-        t = pa.table(
-            {
-                "url": pa.array(keys, pa.string()),
-                "wts": pa.array(ts, pa.int64()),
-                "html": pa.array(payloads, pa.binary()),
-            }
-        )
-        got = _dedup_key_ts_nonempty(t, "url", ts, "html").to_pandas()
-
-        df = t.to_pandas()
-        df["__e"] = ~(df["html"].map(lambda v: v is not None and len(v) > 0))
-        # reverse first: within each emptiness class the LAST original
-        # row comes first, so keep="first" picks (min __e, max index)
-        ref = (
-            df[::-1]
-            .sort_values("__e", kind="stable")
-            .drop_duplicates(subset=["url", "wts"], keep="first")
-            .drop(columns="__e")
-        )
-        a = got.sort_values(["url", "wts", "html"], na_position="first").reset_index(drop=True)
-        b = ref.sort_values(["url", "wts", "html"], na_position="first").reset_index(drop=True)
-        pd.testing.assert_frame_equal(a, b)
-
-
-def test_dedup_key_ts_nonempty_empty_table_is_noop():
-    import numpy as np
-    import pyarrow as pa
-
-    from engine.merge import _dedup_key_ts_nonempty
-
-    t = pa.table(
-        {
-            "url": pa.array([], pa.string()),
-            "wts": pa.array([], pa.int64()),
-            "html": pa.array([], pa.binary()),
-        }
+    out = merge_datasets(ray.data.from_arrow(t).repartition(3), num_buckets=4)
+    got = pa.concat_tables(out.iter_batches(batch_format="pyarrow")).sort_by(
+        [("warc_ts", "descending")]
     )
-    out = _dedup_key_ts_nonempty(t, "url", np.empty(0, np.int64), "html")
-    assert len(out) == 0 and out.schema == t.schema
+    win = list(range(15))
+    assert got.column("warc_ts").cast(pa.int64()).to_pylist() == ns[:15].tolist()
+    assert got.column("url").to_pylist() == [f"u{i}" for i in win]
+    assert got.column("html").to_pylist() == [b"payload-%d" % i for i in win]
 
 
 def test_wide_merge_all_passthrough_input(ray_session):
-    # every row has a NULL/empty key: merged_light is empty and the
-    # exact winner path used to KeyError on the column-less DataFrame
-    # before the passthrough rows were emitted
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-
-    from engine.merge import merge_datasets_wide
-
+    """Every row has a NULL/empty key: all of them pass through intact,
+    payload included, and nothing is merged."""
     t = pa.table(
         {
             "url": pa.array([None, "", None], pa.string()),
@@ -651,12 +464,12 @@ def test_wide_merge_all_passthrough_input(ray_session):
             "html": pa.array([b"a", b"b", None], pa.binary()),
         }
     )
-    for wf in ("exact", "bloom", "auto"):
-        out = merge_datasets_wide(
-            lambda: ray.data.from_arrow(t), ["html"], winner_filter=wf
-        ).to_pandas()
-        assert len(out) == 3  # all three passthrough rows intact
-        assert sorted(out["warc_ts"]) == [1, 2, 3]
+    got = pa.concat_tables(
+        merge_datasets(ray.data.from_arrow(t), num_buckets=4).iter_batches(
+            batch_format="pyarrow"
+        )
+    ).sort_by("warc_ts")
+    assert got.to_pydict() == t.to_pydict()
 
 
 def test_ts_i64_arrow_type_contract():

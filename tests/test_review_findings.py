@@ -1,6 +1,6 @@
 """Regressions for the round-4 core-module review findings: schema
-evolution on commit/scan, positional shard ids, wide-merge tie-break
-parity with the light-column fold, and GC of obsolete job logs and
+evolution on commit/scan, positional shard ids, the merge's payload
+tie-break matching the light columns, and GC of obsolete job logs and
 abandoned tmp files."""
 
 import os
@@ -83,10 +83,10 @@ def test_ingest_sharded_resume_with_shifted_paths(tmp_path, ray_session):
 
 
 def test_wide_merge_payload_tie_matches_light_columns(ray_session):
-    """Two writers share the winning ts: the wide path's payload must
-    come from the SAME row the light-column fold picks (last writer),
-    never mixing values that co-occurred in no input row."""
-    from engine.merge import merge_datasets, merge_datasets_wide
+    """Two writers share the winning ts: the merged payload must come
+    from the SAME row the light-column fold picks (last writer), never
+    mixing values that co-occurred in no input row."""
+    from engine.merge import merge_datasets
 
     ts = pd.Timestamp("2026-01-01")
     t = pa.table(
@@ -97,13 +97,10 @@ def test_wide_merge_payload_tie_matches_light_columns(ray_session):
             "html": pa.array([b"X", b"Y"], pa.binary()),
         }
     )
-    narrow = merge_datasets(ray.data.from_arrow(t), num_buckets=2).to_pandas()
-    wide = merge_datasets_wide(
-        lambda: ray.data.from_arrow(t), ["html"], num_buckets=2
-    ).to_pandas()
-    assert len(narrow) == 1 and len(wide) == 1
-    assert narrow.text.iloc[0] == wide.text.iloc[0] == "b"
-    assert bytes(narrow.html.iloc[0]) == bytes(wide.html.iloc[0]) == b"Y"
+    out = merge_datasets(ray.data.from_arrow(t), num_buckets=2).to_pandas()
+    assert len(out) == 1
+    assert out.text.iloc[0] == "b"
+    assert bytes(out.html.iloc[0]) == b"Y"
 
 
 def test_gc_prunes_obsolete_job_logs_and_tmp_files(tmp_path, ray_session):
