@@ -1105,7 +1105,7 @@ def oracle_sql() -> dict[str, str]:
         """
 
     # --- minhash_pairs: exact all-pairs word-3-gram Jaccard >= 0.5.
-    # Mirrors engine.dedup.word_shingles/jaccard_ngrams: \S+ tokens of
+    # Mirrors engine.dedup.word_shingles/_pairwise_jaccard: \S+ tokens of
     # lower(text); < 3 tokens -> one joined shingle; both-empty -> 1.0.
     minhash_pairs = rf"""
         WITH tk AS (

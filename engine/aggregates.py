@@ -13,6 +13,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from engine.exchange import bucketed
 from engine.infer import ALPHA
 
 
@@ -167,11 +168,9 @@ def _topk_table(
     ``row_number() OVER (PARTITION BY key ORDER BY order_col
     [DESC] NULLS LAST, tie_cols ASC NULLS LAST) <= k`` with NULL keys
     forming one partition (DuckDB's default null order is NULLS LAST
-    in both directions). Returns (pruned table, null-safe-filled key of
-    the pruned rows) so callers that bucket-hash afterwards don't pay
-    the composite encode twice."""
+    in both directions)."""
     if t.num_rows == 0:
-        return t, t.column(key)
+        return t
     filled, isnull = null_safe_key(t.column(key))
     tmp = t.append_column("__k", filled).append_column("__n", isnull)
     order = "descending" if descending else "ascending"
@@ -193,8 +192,7 @@ def _topk_table(
     starts = np.flatnonzero(change)
     seg = np.cumsum(change) - 1
     rank = np.arange(len(codes), dtype=np.int64) - starts[seg]
-    kept = pa.array(idx_np[rank < k])
-    return t.take(kept), pc.take(filled, kept)
+    return t.take(pa.array(idx_np[rank < k]))
 
 
 def grouped_topk(
@@ -214,33 +212,18 @@ def grouped_topk(
     as a Dataset with the input schema. Deterministic iff
     (order_col, *tie_cols) is unique within a key -- pass a unique id
     as the last tie column."""
-    from engine.dedup import hash64_keys
-
     tie_cols = tuple(tie_cols)
 
-    def partial(t: pa.Table) -> pa.Table:
-        t, filled = _topk_table(t, key, order_col, k, tie_cols, descending)
-        if t.num_rows == 0:
-            return t.append_column("__bucket", pa.array([], type=pa.int64()))
-        h = hash64_keys(filled)
-        return t.append_column(
-            "__bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int64))
-        )
+    def prune(t: pa.Table) -> pa.Table:
+        return _topk_table(t, key, order_col, k, tie_cols, descending)
 
-    pruned = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
     # Ray's sort-based groupby consumes its LAZY upstream twice (sample
     # pass + sort pass) -- materializing the pruned partials (bounded at
     # O(k x keys x batches) rows by construction) makes the sampling hit
     # materialized blocks instead of re-running the whole upstream
     # (measured 2x the full input pipeline without this)
-    pruned = pruned.materialize()
-
-    def fold(t: pa.Table) -> pa.Table:
-        return _topk_table(
-            t.drop_columns(["__bucket"]), key, order_col, k, tie_cols, descending
-        )[0]
-
-    return pruned.groupby("__bucket").map_groups(fold, batch_format="pyarrow")
+    pruned = ds.map_batches(prune, batch_format="pyarrow", zero_copy_batch=True).materialize()
+    return bucketed(pruned, key, prune, num_buckets=num_buckets, batch_format="pyarrow")
 
 
 def global_topk(ds, order_col: str, k: int, tie_cols: tuple[str, ...] = (),
@@ -255,7 +238,7 @@ def global_topk(ds, order_col: str, k: int, tie_cols: tuple[str, ...] = (),
         return _topk_table(
             t.append_column("__g", pa.array(np.zeros(t.num_rows, dtype=np.int64))),
             "__g", order_col, k, tie_cols, descending,
-        )[0]
+        )
 
     # materialized for the same sample-pass reason as grouped_topk
     # (O(k x batches) rows)
@@ -264,11 +247,9 @@ def global_topk(ds, order_col: str, k: int, tie_cols: tuple[str, ...] = (),
     ).materialize()
 
     def fold(t: pa.Table) -> pa.Table:
-        return _topk_table(t, "__g", order_col, k, tie_cols, descending)[
-            0
-        ].drop_columns(["__g"])
+        return _topk_table(t, "__g", order_col, k, tie_cols, descending).drop_columns(["__g"])
 
-    return pruned.groupby("__g").map_groups(fold, batch_format="pyarrow")
+    return bucketed(pruned, order_col, fold, num_buckets=1, batch_format="pyarrow")
 
 
 def grouped_count_topk(ds, col: str, k: int, num_buckets: int = 64):
@@ -283,31 +264,16 @@ def grouped_count_topk(ds, col: str, k: int, num_buckets: int = 64):
     urls: 33.9 s (string-sort groupby) -> see BENCH/new_ops_*, one
     int-bucket exchange. NULL keys are one group (restored in the
     fold); ties break by key ascending, NULLS LAST."""
-    from engine.dedup import hash64_keys
-
-    nb = np.uint64(num_buckets)
-
-    def partial(t: pa.Table) -> pa.Table:
-        comp = _count_partial(col)(t)
-        h = hash64_keys(comp.column(col))
-        return comp.append_column(
-            "__bucket", pa.array((h % nb).astype(np.int64))
-        )
-
     # materialize: the bucket groupby's sample pass would otherwise
     # re-run the full count-partial pass over the input (the partials
     # are <= one row per distinct key per batch -- object-store-sized,
     # spillable, far cheaper than a second input pass)
     parts = ds.map_batches(
-        partial, batch_format="pyarrow", zero_copy_batch=True
+        _count_partial(col), batch_format="pyarrow", zero_copy_batch=True
     ).materialize()
 
     def fold(t: pa.Table) -> pa.Table:
-        g = (
-            t.drop_columns(["__bucket"])
-            .group_by([col, "__isnull"])
-            .aggregate([("count_all", "sum")])
-        )
+        g = t.group_by([col, "__isnull"]).aggregate([("count_all", "sum")])
         keyed = pc.if_else(
             pc.equal(g.column("__isnull"), 1),
             pa.scalar(None, type=g.schema.field(col).type),
@@ -319,11 +285,9 @@ def grouped_count_topk(ds, col: str, k: int, num_buckets: int = 64):
         counts = counts.append_column(
             "__g", pa.array(np.zeros(counts.num_rows, dtype=np.int64))
         )
-        return _topk_table(counts, "__g", "n", k, (col,), True)[0].drop_columns(
-            ["__g"]
-        )
+        return _topk_table(counts, "__g", "n", k, (col,), True).drop_columns(["__g"])
 
-    pruned = parts.groupby("__bucket").map_groups(fold, batch_format="pyarrow")
+    pruned = bucketed(parts, col, fold, num_buckets=num_buckets, batch_format="pyarrow")
     return global_topk(pruned, "n", k, tie_cols=(col,))
 
 

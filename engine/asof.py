@@ -24,7 +24,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from engine.merge import _add_bucket
+from engine.exchange import bucketed
 
 #: largest integer a float64 mantissa holds exactly
 _F64_EXACT = 1 << 53
@@ -124,12 +124,6 @@ def asof_join(
     tagged = left.map_batches(align_and_tag(0, False), batch_format="pyarrow").union(
         right.map_batches(align_and_tag(1, True), batch_format="pyarrow")
     )
-    keyed = tagged.map_batches(
-        _add_bucket,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        fn_kwargs={"key": key, "num_buckets": num_buckets},
-    )
 
     rts_out = out_right_names.get(right_ts, right_ts)
     out_cols = [n for n, _ in union_fields]
@@ -143,7 +137,6 @@ def asof_join(
     key_is_i64 = pa.types.is_integer(ltypes[key]) and ltypes[key].bit_width == 64
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop(columns=["__bucket"])
         # exact residual guard for the key: if nulls anywhere in this
         # bucket floated a declared-int64 key, values beyond 2^53 are
         # already lossy here -- raise at the exact site
@@ -201,7 +194,7 @@ def asof_join(
                 )
         return pd.concat(parts, ignore_index=True) if parts else pd.DataFrame(columns=out_cols)
 
-    joined = keyed.groupby("__bucket").map_groups(fold, batch_format="pandas")
+    joined = bucketed(tagged, key, fold, num_buckets=num_buckets, batch_format="pandas")
     # the union pass floats int columns (nulls on the other side); cast
     # the result back to the declared schema
     return joined.map_batches(

@@ -6,7 +6,8 @@ Five families (prompt-mandated first-class components):
 - :func:`minhash_dedup_pairs`  shingle -> minhash -> banded LSH -> verify
 - :func:`simhash_signatures` / :func:`simhash_dup_pairs`  64-bit simhash,
   band-bucketed Hamming candidates
-- :func:`jaccard_ngrams`       n-gram Jaccard verification kernel
+- :func:`_pairwise_jaccard`    word-n-gram Jaccard verification kernel
+  (vectorized over a whole pair batch)
 - embedding-cosine near-dup lives in :mod:`engine.similarity`
 
 All hashing is deterministic (crc32 + fixed multiply-shift mixers, no
@@ -36,11 +37,15 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from engine.exchange import bucketed
 from engine.textstats import TOKEN_PATTERN as _TOKEN_PATTERN  # noqa: E402
 
 _TOKEN_RE = re.compile(_TOKEN_PATTERN)  # ONE definition of the token class
 
 _MERSENNE = np.uint64((1 << 61) - 1)
+
+#: the hash of a NULL key, whatever the key column's type
+_NULL_HASH = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _crc32_array(strings: Iterable[str]) -> np.ndarray:
@@ -111,7 +116,7 @@ def hash64_strings(arr) -> np.ndarray:
         h = pl.from_arrow(arr).hash(seed=0).to_numpy().astype(np.uint64, copy=False)
         if null_mask is not None:
             h = h.copy()
-            h[null_mask] = np.uint64(0x9E3779B97F4A7C15)
+            h[null_mask] = _NULL_HASH
         return h
     except ImportError:  # pragma: no cover - polars is in the image
         pass
@@ -121,13 +126,17 @@ def hash64_strings(arr) -> np.ndarray:
 def hash64_keys(keys) -> np.ndarray:
     """64-bit hash of a key column of ANY type -- the ONE dispatch for
     every consumer whose batches must agree on a key's hash within a
-    run (merge bucket assignment, the streaming-upsert shard routing,
-    the hash-partitioned top-k and windows). Arrow string /
-    large_string columns ride :func:`hash64_strings` (zero per-row
-    Python); other types fall back to the pandas object hash. Accepts
-    ``pa.Array`` / ``pa.ChunkedArray`` / ``pd.Series``. Null handling
-    is the CALLER's job (each site redirects or filters nulls before
-    or after; both hash paths give nulls a deterministic value)."""
+    run: every :func:`engine.exchange.bucketed` exchange (MERGE, as-of
+    join, windows, top-k, the dedup/LSH and line-dedup pipelines,
+    component propagation) and :func:`engine.exchange.bucket_ids`
+    (the streaming-upsert shard routing). Arrow string / large_string
+    columns ride :func:`hash64_strings` (zero per-row Python); other
+    types fall back to the pandas object hash. Accepts ``pa.Array`` /
+    ``pa.ChunkedArray`` / ``pd.Series``. Every NULL hashes to
+    ``_NULL_HASH`` whatever the column type -- a batch whose key column
+    arrives typed ``null`` co-locates its nulls with a typed batch's --
+    so an exchange keyed by a column puts them in one bucket; MERGE
+    redirects them itself (``merge._merge_hashes``)."""
     import pandas as pd
 
     if isinstance(keys, pd.Series):
@@ -148,8 +157,8 @@ def hash64_keys(keys) -> np.ndarray:
         # uint64 beyond int64 max cannot cast; hash the raw bit pattern
         # (value-consistent with the int64 branch for shared values)
         v = pc.fill_null(keys, 0).to_numpy(zero_copy_only=False)
-        return _mix64(v.astype(np.uint64))
-    if (
+        h = _mix64(v.astype(np.uint64))
+    elif (
         pa.types.is_integer(t)
         or pa.types.is_timestamp(t)
         or pa.types.is_date(t)
@@ -157,12 +166,16 @@ def hash64_keys(keys) -> np.ndarray:
         or pa.types.is_boolean(t)
     ):
         v = pc.fill_null(keys.cast(pa.int64()), 0).to_numpy(zero_copy_only=False)
-        return _mix64(v.astype(np.int64).view(np.uint64))
-    if pa.types.is_floating(t):
+        h = _mix64(v.astype(np.int64).view(np.uint64))
+    elif pa.types.is_floating(t):
         v = pc.fill_null(keys.cast(pa.float64()), 0.0).to_numpy(zero_copy_only=False)
         v = np.where(v == 0.0, 0.0, v)  # -0.0 == 0.0 must hash equal
-        return _mix64(v.view(np.uint64))
-    return pd.util.hash_array(keys.to_pandas().to_numpy(dtype=object), categorize=False)
+        h = _mix64(v.view(np.uint64))
+    else:
+        h = pd.util.hash_array(keys.to_pandas().to_numpy(dtype=object), categorize=False)
+    if keys.null_count:
+        h[pc.is_null(keys).to_numpy(zero_copy_only=False)] = _NULL_HASH
+    return h
 
 
 def _hash64_strings_numpy(arr: pa.Array, null_mask=None) -> np.ndarray:
@@ -197,7 +210,7 @@ def _hash64_strings_numpy(arr: pa.Array, null_mask=None) -> np.ndarray:
         w8 = win[starts[live] + lens[live] - 8]
         h[live] = _mix64(h[live] ^ w8.view(np.uint64).ravel().copy())
     if null_mask is not None:
-        h[null_mask] = np.uint64(0x9E3779B97F4A7C15)
+        h[null_mask] = _NULL_HASH
     return h
 
 
@@ -287,23 +300,11 @@ def exact_dedup_shuffle(ds, text_col: str = "text", id_col: str = "doc_id", num_
             fn_kwargs={"text_col": text_col},
         )
 
-    def bucketize(t: pa.Table) -> pa.Table:
-        h = t.column("__chash").to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "__bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int64))
-        )
-
     def fold(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(id_col, kind="stable")
-        return df.drop_duplicates(subset="__chash", keep="first").drop(
-            columns=["__bucket", "__chash"]
-        )
+        return df.drop_duplicates(subset="__chash", keep="first").drop(columns="__chash")
 
-    return (
-        hashed.map_batches(bucketize, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(fold, batch_format="pandas")
-    )
+    return bucketed(hashed, "__chash", fold, num_buckets=num_buckets, batch_format="pandas")
 
 
 def _approx_distinct_hashes(hashed, col: str = "__chash", p: int = 12) -> float:
@@ -702,19 +703,6 @@ def _band_rows(sig_table: pa.Table, bands: int, id_col: str) -> pa.Table:
     )
 
 
-def jaccard_ngrams(a: str, b: str, n: int = 3, char: bool = False) -> float:
-    """n-gram Jaccard similarity (verification kernel; also standalone)."""
-    if char:
-        ga = {a[i : i + n] for i in range(max(1, len(a) - n + 1))}
-        gb = {b[i : i + n] for i in range(max(1, len(b) - n + 1))}
-    else:
-        ga, gb = set(word_shingles(a, n)), set(word_shingles(b, n))
-    if not ga and not gb:
-        return 1.0
-    inter = len(ga & gb)
-    return inter / (len(ga) + len(gb) - inter)
-
-
 _EMPTY_PAIRS = {
     "id_a": pa.array([], pa.int64()),
     "id_b": pa.array([], pa.int64()),
@@ -842,14 +830,6 @@ def _coalesce_small(ds):
     return ds
 
 
-def _pair_bucket_col(t: pa.Table, num_buckets: int) -> pa.Table:
-    """Bucket by a symmetric-free hash of the ordered pair (id_a < id_b
-    everywhere, so a plain mix of both lanes is stable)."""
-    a = _mix64(np.asarray(t.column("id_a").to_numpy(zero_copy_only=False)).astype(np.uint64))
-    b = _mix64(np.asarray(t.column("id_b").to_numpy(zero_copy_only=False)).astype(np.uint64) ^ np.uint64(0xA5A5A5A5A5A5A5A5))
-    return t.append_column("__bucket", pa.array(((a ^ b) % np.uint64(num_buckets)).astype(np.int64)))
-
-
 def _distinct_pairs(candidates, extra_cols=(), num_buckets: int = 64):
     """Distributed DISTINCT over (id_a, id_b): a pair that fired in many
     bands lands in ONE bucket (pair-hash partitioning), so a per-bucket
@@ -857,16 +837,9 @@ def _distinct_pairs(candidates, extra_cols=(), num_buckets: int = 64):
     keep = ["id_a", "id_b", *extra_cols]
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop(columns="__bucket").drop_duplicates(subset=["id_a", "id_b"])[keep]
+        return df.drop_duplicates(subset=["id_a", "id_b"])[keep]
 
-    return (
-        candidates.map_batches(
-            _pair_bucket_col, batch_format="pyarrow", zero_copy_batch=True,
-            fn_kwargs={"num_buckets": num_buckets},
-        )
-        .groupby("__bucket")
-        .map_groups(fold, batch_format="pandas")
-    )
+    return bucketed(candidates, ["id_a", "id_b"], fold, num_buckets=num_buckets, batch_format="pandas")
 
 
 def _attach_pair_texts(ds, pairs, text_col: str, id_col: str,
@@ -918,10 +891,6 @@ def _attach_pair_texts(ds, pairs, text_col: str, id_col: str,
             }
         )
 
-    def id_bucket(t: pa.Table) -> pa.Table:
-        h = _mix64(t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.uint64))
-        return t.append_column("__bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int64)))
-
     corpus = ds.select_columns([id_col, text_col]).map_batches(
         corpus_rows, batch_format="pyarrow", zero_copy_batch=True
     )
@@ -941,28 +910,17 @@ def _attach_pair_texts(ds, pairs, text_col: str, id_col: str,
             }
         )
 
-    one_sided = (
-        corpus.union(sides)
-        .map_batches(id_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(lambda df: attach(df.drop(columns="__bucket")), batch_format="pandas")
+    one_sided = bucketed(
+        corpus.union(sides), "doc_id", attach, num_buckets=num_buckets, batch_format="pandas"
     )
 
     def pivot(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop(columns="__bucket")
         ta = df[df["doc_id"] == df["id_a"]][["id_a", "id_b", "text"]].rename(columns={"text": "text_a"})
         tb = df[df["doc_id"] == df["id_b"]][["id_a", "id_b", "text"]].rename(columns={"text": "text_b"})
         # a self-comparable corpus never has id_a == id_b (pairs are strict)
         return ta.merge(tb, on=["id_a", "id_b"], how="inner")
 
-    return (
-        one_sided.map_batches(
-            _pair_bucket_col, batch_format="pyarrow", zero_copy_batch=True,
-            fn_kwargs={"num_buckets": num_buckets},
-        )
-        .groupby("__bucket")
-        .map_groups(pivot, batch_format="pandas")
-    )
+    return bucketed(one_sided, ["id_a", "id_b"], pivot, num_buckets=num_buckets, batch_format="pandas")
 
 
 def minhash_dedup_pairs(
@@ -1047,12 +1005,6 @@ def minhash_dedup_pairs(
     # term), so small corpora don't pay near-empty partitions per stage
     # and the dataflow is identical across cluster sizes.
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        h = t.column("band_hash").to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "__bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int64))
-        )
-
     def bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
         # sort -> run-length (band, hash) cell boundaries -> ONE
         # vectorized within-segment pair enumeration. max_cell bounds
@@ -1075,10 +1027,8 @@ def minhash_dedup_pairs(
             }
         ).drop_duplicates()
 
-    candidates = (
-        banded.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(lambda df: bucket_pairs(df.drop(columns=["__bucket"])), batch_format="pandas")
+    candidates = bucketed(
+        banded, "band_hash", bucket_pairs, num_buckets=num_buckets, batch_format="pandas"
     )
     # distinct candidate pairs (a pair can fire in many bands) --
     # pair-hash-partitioned dedup, then pin: the pair set is the SMALL
@@ -1169,15 +1119,6 @@ def connected_components_distributed(pairs, num_buckets: int = 64, max_iter: int
             {"node": pa.chunked_array([a, b]), "nbr": pa.chunked_array([b, a])}
         )
 
-    def node_bucket(col):
-        def f(t: pa.Table) -> pa.Table:
-            h = _mix64(t.column(col).to_numpy(zero_copy_only=False).astype(np.uint64))
-            return t.append_column(
-                "__bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int64))
-            )
-
-        return f
-
     edges = (
         pairs.select_columns(["id_a", "id_b"])
         .map_batches(sym, batch_format="pyarrow", zero_copy_batch=True)
@@ -1199,11 +1140,10 @@ def connected_components_distributed(pairs, num_buckets: int = 64, max_iter: int
         m = ds_.repartition(num_buckets).materialize()
         return ray.data.from_arrow_refs(m.to_arrow_refs())
 
-    labels = pin(
-        edges.map_batches(node_bucket("node"), batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(lambda df: init_fold(df.drop(columns="__bucket")), batch_format="pandas")
-    )
+    def exchange(ds_, by, fold):
+        return bucketed(ds_, by, fold, num_buckets=num_buckets, batch_format="pandas")
+
+    labels = pin(exchange(edges, "node", init_fold))
     prev_sum = labels.sum("label")
 
     for _ in range(max_iter):
@@ -1237,12 +1177,11 @@ def connected_components_distributed(pairs, num_buckets: int = 64, max_iter: int
                 }
             )
 
-        proposals = (
+        proposals = exchange(
             edges.map_batches(tag_edge, batch_format="pyarrow", zero_copy_batch=True)
-            .union(labels.map_batches(tag_label, batch_format="pyarrow", zero_copy_batch=True))
-            .map_batches(node_bucket("key"), batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("__bucket")
-            .map_groups(lambda df: relabel(df.drop(columns="__bucket")), batch_format="pandas")
+            .union(labels.map_batches(tag_label, batch_format="pyarrow", zero_copy_batch=True)),
+            "key",
+            relabel,
         )
 
         # hop 2: min over (own label, neighbor proposals) per node
@@ -1250,12 +1189,7 @@ def connected_components_distributed(pairs, num_buckets: int = 64, max_iter: int
             g = df.groupby("node", sort=False)["label"].min()
             return pd.DataFrame({"node": g.index.to_numpy(), "label": g.to_numpy()})
 
-        labels = pin(
-            labels.union(proposals)
-            .map_batches(node_bucket("node"), batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("__bucket")
-            .map_groups(lambda df: min_fold(df.drop(columns="__bucket")), batch_format="pandas")
-        )
+        labels = pin(exchange(labels.union(proposals), "node", min_fold))
 
         # pointer jumping: label(x) <- label(label(x)). Labels are node
         # ids and label(y) <= y (monotone), so the same keyed-union
@@ -1270,19 +1204,13 @@ def connected_components_distributed(pairs, num_buckets: int = 64, max_iter: int
                 }
             )
 
-        jumped = (
+        jumped = exchange(
             labels.map_batches(tag_ptr, batch_format="pyarrow", zero_copy_batch=True)
-            .union(labels.map_batches(tag_label, batch_format="pyarrow", zero_copy_batch=True))
-            .map_batches(node_bucket("key"), batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("__bucket")
-            .map_groups(lambda df: relabel(df.drop(columns="__bucket")), batch_format="pandas")
+            .union(labels.map_batches(tag_label, batch_format="pyarrow", zero_copy_batch=True)),
+            "key",
+            relabel,
         )
-        labels = pin(
-            labels.union(jumped)
-            .map_batches(node_bucket("node"), batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("__bucket")
-            .map_groups(lambda df: min_fold(df.drop(columns="__bucket")), batch_format="pandas")
-        )
+        labels = pin(exchange(labels.union(jumped), "node", min_fold))
         cur_sum = labels.sum("label")
         if cur_sum == prev_sum:
             break
@@ -1368,12 +1296,6 @@ def drop_near_duplicates_shuffle(ds, pairs, id_col: str = "doc_id", num_buckets:
         cols[marker] = pa.array(np.ones(len(t), dtype=np.int8))
         return pa.table(cols)
 
-    def id_bucket(t: pa.Table) -> pa.Table:
-        h = _mix64(t.column(id_col).to_numpy(zero_copy_only=False).astype(np.uint64))
-        return t.append_column(
-            "__bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int64))
-        )
-
     def anti(t: pa.Table) -> pa.Table:
         # Arrow end-to-end: the previous pandas fold floated every int64
         # payload column in any bucket holding a loser row (tag_losers
@@ -1385,14 +1307,13 @@ def drop_near_duplicates_shuffle(ds, pairs, id_col: str = "doc_id", num_buckets:
         keep = (m == 0) & ~np.isin(ids, bad)
         return t.filter(pa.array(keep)).select(corpus_cols)
 
-    return (
+    return bucketed(
         ds.map_batches(tag_corpus, batch_format="pyarrow", zero_copy_batch=True)
-        .union(losers.map_batches(tag_losers, batch_format="pyarrow", zero_copy_batch=True))
-        .map_batches(id_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(
-            lambda t: anti(t.drop_columns(["__bucket"])), batch_format="pyarrow"
-        )
+        .union(losers.map_batches(tag_losers, batch_format="pyarrow", zero_copy_batch=True)),
+        id_col,
+        anti,
+        num_buckets=num_buckets,
+        batch_format="pyarrow",
     )
 
 
@@ -1597,11 +1518,6 @@ def simhash_texts(texts, hasher: str = "fast") -> np.ndarray:
     return sigs
 
 
-def simhash64(text: str) -> int:
-    """Deterministic 64-bit SimHash of one document (flat-kernel path)."""
-    return int(simhash_texts([text])[0])
-
-
 def simhash_batch(batch: pa.Table, text_col="text", id_col="doc_id", hasher="fast") -> pa.Table:
     col = batch.column(text_col)
     sigs = simhash_texts(col if hasher == "fast" else col.to_pylist(), hasher=hasher)
@@ -1677,12 +1593,6 @@ def simhash_dup_pairs(ds, max_hamming: int = 3, text_col="text", id_col="doc_id"
 
     banded = sigs.map_batches(band_rows, batch_format="pyarrow", zero_copy_batch=True)
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        k = t.column("band_key").to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "__bucket", pa.array((k % np.uint64(num_buckets)).astype(np.int64))
-        )
-
     def bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
         # pairs only within exact (band_id, band_key) collision cells:
         # sort -> run-length boundaries -> one vectorized enumeration
@@ -1705,10 +1615,8 @@ def simhash_dup_pairs(ds, max_hamming: int = 3, text_col="text", id_col="doc_id"
             }
         )
 
-    pairs = (
-        banded.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(lambda df: bucket_pairs(df.drop(columns=["__bucket"])), batch_format="pandas")
+    pairs = bucketed(
+        banded, "band_key", bucket_pairs, num_buckets=num_buckets, batch_format="pandas"
     )
     # distributed distinct (a pair can collide in several bands); stays
     # an object-store Dataset -- nothing lands on the driver
@@ -1785,7 +1693,6 @@ def dedup_lines_global(ds, text_col: str = "text", id_col: str = "doc_id",
             {
                 "h1": pa.array(h1), "h2": pa.array(h2),
                 "doc": pa.array(doc), "idx": pa.array(idx),
-                "__bucket": pa.array((h1 % np.uint64(num_buckets)).astype(np.int64)),
             }
         )
 
@@ -1811,38 +1718,31 @@ def dedup_lines_global(ds, text_col: str = "text", id_col: str = "doc_id",
     # and would re-run the split+hash explode over every line
     # (ARCHITECTURE lazy-double-execution rule; measured ~8% at 2M docs
     # -- the triples are 40 B/line and spill-capable at scale)
-    drops = (
-        proj.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-        .materialize()
-        .groupby("__bucket")
-        .map_groups(
-            lambda df: losers(df.drop(columns=["__bucket"])), batch_format="pandas"
-        )
+    drops = bucketed(
+        proj.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True).materialize(),
+        "h1",
+        losers,
+        num_buckets=num_buckets,
+        batch_format="pandas",
     )
 
     def corpus_side(t: pa.Table) -> pa.Table:
-        ids = t.column(id_col).cast(pa.int64())
-        h = _mix64(ids.to_numpy(zero_copy_only=False).astype(np.uint64))
         return pa.table(
             {
-                "doc": ids,
+                "doc": t.column(id_col).cast(pa.int64()),
                 "idx": pa.nulls(len(t), pa.int64()),
                 "text": t.column(text_col).cast(pa.string()),
                 "__side": pa.array(np.zeros(len(t), np.int8)),
-                "__bucket": pa.array((h % np.uint64(num_buckets)).astype(np.int64)),
             }
         )
 
     def drop_side(t: pa.Table) -> pa.Table:
-        d = t.column("doc").to_numpy(zero_copy_only=False).astype(np.uint64)
-        h = _mix64(d)
         return pa.table(
             {
                 "doc": t.column("doc").cast(pa.int64()),
                 "idx": t.column("idx").cast(pa.int64()),
                 "text": pa.nulls(len(t), pa.string()),
                 "__side": pa.array(np.ones(len(t), np.int8)),
-                "__bucket": pa.array((h % np.uint64(num_buckets)).astype(np.int64)),
             }
         )
 
@@ -1881,9 +1781,4 @@ def dedup_lines_global(ds, text_col: str = "text", id_col: str = "doc_id",
     both = proj.map_batches(
         corpus_side, batch_format="pyarrow", zero_copy_batch=True
     ).union(dside)
-    return (
-        both.groupby("__bucket")
-        .map_groups(
-            lambda df: rebuild(df.drop(columns=["__bucket"])), batch_format="pandas"
-        )
-    )
+    return bucketed(both, "doc", rebuild, num_buckets=num_buckets, batch_format="pandas")

@@ -24,6 +24,7 @@ import pyarrow as pa
 import ray.data
 
 from engine.config import EngineConfig
+from engine.exchange import bucketed
 from engine.manifest import (
     SMALL_TABLE_BYTES,
     FileEntry,
@@ -279,10 +280,6 @@ def merge_into(
     snap = table.snapshot()
     live = snap.files
     schema = snap.arrow_schema()
-    # bytes/CPU-derived bucket count, with cfg.merge_buckets as a FLOOR
-    # (the user's hot-bucket / skew knob: raising it always takes effect)
-    blocks = max(_shuffle_blocks(table, cfg, live=live), int(cfg.merge_buckets or 0))
-
     if (
         source is None
         and live
@@ -317,6 +314,9 @@ def merge_into(
         # file count. A union'd source keeps its own blocks and rides
         # one repartition: its block layout is unknown here and the
         # sort degenerates on many tiny blocks.
+        # bytes/CPU-derived bucket count, with cfg.merge_buckets as a FLOOR
+        # (the user's hot-bucket / skew knob: raising it always takes effect)
+        blocks = max(_shuffle_blocks(table, cfg, live=live), int(cfg.merge_buckets or 0))
         ds = table.scan(override_num_blocks=blocks)
         if source is not None:
             ds = ds.union(source).repartition(blocks)
@@ -529,9 +529,8 @@ def dedup_lines(
     """
     import numpy as np
     import pandas as pd
-    import pyarrow.compute as pc
 
-    from engine.dedup import _pairs_buckets, hash64_strings, line_hash_pair, line_positions
+    from engine.dedup import _pairs_buckets, line_hash_pair, line_positions
 
     cfg = cfg if cfg is not None else EngineConfig()
     job_id = job_id or uuid.uuid4().hex[:8]
@@ -565,12 +564,6 @@ def dedup_lines(
             ks.append(k)
             lines_all.extend(ls)
             lens.append(len(ls))
-        if not ks:
-            return pa.table(
-                {"h1": pa.array([], pa.uint64()), "h2": pa.array([], pa.uint64()),
-                 "key": pa.array([], pa.string()), "idx": pa.array([], pa.int64()),
-                 "__bucket": pa.array([], pa.int64())}
-            )
         lens = np.array(lens, np.int64)
         flat = np.asarray(lines_all, dtype=object)
         h1, h2 = line_hash_pair(flat)  # ONE hash-pair definition
@@ -578,8 +571,7 @@ def dedup_lines(
         idx = line_positions(lens)  # 1-based SQL convention, shared
         return pa.table(
             {"h1": pa.array(h1), "h2": pa.array(h2),
-             "key": pa.array(key_rep, pa.string()), "idx": pa.array(idx),
-             "__bucket": pa.array((h1 % np.uint64(num_buckets)).astype(np.int64))}
+             "key": pa.array(key_rep, pa.string()), "idx": pa.array(idx)}
         )
 
     def losers(df: pd.DataFrame) -> pd.DataFrame:
@@ -594,37 +586,26 @@ def dedup_lines(
             np.logical_or(h1[1:] != h1[:-1], h2[1:] != h2[:-1], out=first[1:])
         return df.loc[~first, ["key", "idx"]]
 
-    drops = (
-        ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-        .materialize()  # lazy sort upstream executes twice otherwise
-        .groupby("__bucket")
-        .map_groups(
-            lambda df: losers(df.drop(columns=["__bucket"])), batch_format="pandas"
-        )
+    drops = bucketed(
+        # lazy sort upstream executes twice otherwise
+        ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True).materialize(),
+        "h1",
+        losers,
+        num_buckets=num_buckets,
+        batch_format="pandas",
     )
 
     def corpus_side(t: pa.Table) -> pa.Table:
-        keys = t.column(key_col)
-        valid = pc.and_kleene(pc.is_valid(keys), pc.not_equal(keys, ""))
-        h = hash64_strings(pc.fill_null(keys.combine_chunks(), ""))
-        bucket = np.where(
-            pc.fill_null(valid, False).to_numpy(zero_copy_only=False),
-            (h % np.uint64(num_buckets)).astype(np.int64),
-            0,
-        )
         t = t.append_column("__dl_idx", pa.nulls(len(t), pa.int64()))
-        t = t.append_column("__side", pa.array(np.zeros(len(t), np.int8)))
-        return t.append_column("__bucket", pa.array(bucket))
+        return t.append_column("__side", pa.array(np.zeros(len(t), np.int8)))
 
     def drop_side(t: pa.Table) -> pa.Table:
-        h = hash64_strings(t.column("key").combine_chunks())
         out = {name: pa.nulls(len(t), typ) for name, typ in zip(vis_schema.names, vis_schema.types)}
         out[key_col] = t.column("key").cast(vis_schema.field(key_col).type)
         return pa.table(
             {**out,
              "__dl_idx": t.column("idx").cast(pa.int64()),
-             "__side": pa.array(np.ones(len(t), np.int8)),
-             "__bucket": pa.array((h % np.uint64(num_buckets)).astype(np.int64))}
+             "__side": pa.array(np.ones(len(t), np.int8))}
         )
 
     def rebuild(t: pa.Table) -> pa.Table:
@@ -698,9 +679,7 @@ def dedup_lines(
         drops.map_batches(drop_side, batch_format="pyarrow", zero_copy_batch=True)
         .materialize()
     )
-    out = both.groupby("__bucket").map_groups(
-        lambda t: rebuild(t.drop_columns(["__bucket"])), batch_format="pyarrow"
-    )
+    out = bucketed(both, key_col, rebuild, num_buckets=num_buckets, batch_format="pyarrow")
     # safety net: align output blocks to the manifest's visible schema
     # (the Arrow fold preserves types by construction; this pins it)
     out = out.map_batches(

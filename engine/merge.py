@@ -15,18 +15,16 @@ Equivalently, per key and per column::
     result[col] = value-at-max-ts among rows where col is non-empty,
                   else value-at-min-ts  (the anchor's value, possibly empty)
 
-Execution (Ray-Data-first, single pass over the input):
-
-1. add ``__bucket = hash64(key) % B`` vectorized in ``map_batches``
-   (B ~ 2-4x cluster cores; at 10^12 rows B is thousands -- each bucket
-   must fit one worker's heap, which is the documented partitioning
-   assumption of this operator); NULL/empty-key passthrough rows are
-   spread round-robin across buckets instead of being split into a
-   second branch, which would re-scan the input,
-2. ``groupby("__bucket").map_groups(fold)`` -- ONE Arrow fold
-   (:func:`merge_fold_passthrough_arrow`: a (key, ts) sort plus numpy
-   segment picks) per bucket, NOT one Python call per key; the fold
-   passes NULL-key rows through unmerged.
+Execution (Ray-Data-first, single pass over the input): ONE
+:func:`engine.exchange.bucketed` exchange over ``hash64(key) % B``
+(B ~ 2-4x cluster cores; at 10^12 rows B is thousands -- each bucket
+must fit one worker's heap, which is the documented partitioning
+assumption of this operator), then ONE Arrow fold per bucket
+(:func:`merge_fold_passthrough_arrow`: a (key, ts) sort plus numpy
+segment picks), NOT one Python call per key. NULL/empty-key rows ride
+the same exchange, spread round-robin (:func:`_merge_hashes`) instead
+of split into a second branch that would re-scan the input, and the
+fold passes them through unmerged.
 
 Skew: the key is ``url`` (high cardinality), so bucket skew is
 statistical, not semantic; hot buckets are bounded by raising B
@@ -35,10 +33,13 @@ statistical, not semantic; hot buckets are bounded by raising B
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from engine.exchange import bucketed
 
 
 def _is_missing_key(arr: pa.Array):
@@ -104,29 +105,19 @@ def ts_i64_arrow(arr):
     return pc.fill_null(pc.cast(arr, pa.int64()), TS_I64_MIN)
 
 
-def _bucket_of(keys: pd.Series, num_buckets: int) -> np.ndarray:
-    # deterministic-within-run 64-bit hash (dedup.hash64_keys: Arrow
-    # buffer for strings, pandas object hash otherwise)
+def _merge_hashes(t: pa.Table, key: str) -> np.ndarray:
+    """MERGE's bucket hash: ``hash64_keys(key)``, except that NULL/empty
+    keys (the passthrough rows) get 0, 1, 2, ..., which the exchange's
+    modulo spreads round-robin so no bucket becomes a null hotspot."""
     from engine.dedup import hash64_keys
 
-    return (hash64_keys(keys) % np.uint64(num_buckets)).astype(np.int64)
-
-
-def _add_bucket(batch: pa.Table, key: str, num_buckets: int) -> pa.Table:
-    """hash(key) % B for mergeable rows; NULL/empty keys (passthrough
-    rows) are spread round-robin so no bucket becomes a null hotspot.
-
-    Key hashing is `dedup.hash64_keys` -- the one dispatch (Arrow
-    buffer for strings, pandas object hash otherwise), so every batch
-    of a merge assigns a key to the same bucket."""
-    from engine.dedup import hash64_keys
-
-    col = batch.column(key)
-    buckets = (hash64_keys(col) % np.uint64(num_buckets)).astype(np.int64)
+    col = t.column(key)
+    h = hash64_keys(col)
     missing = _is_missing_key(col.combine_chunks()).to_numpy(zero_copy_only=False)
     if missing.any():
-        buckets[missing] = np.arange(missing.sum()) % num_buckets
-    return batch.append_column("__bucket", pa.array(buckets))
+        h = h.copy()
+        h[missing] = np.arange(missing.sum(), dtype=np.uint64)
+    return h
 
 
 def _is_textual(t: pa.DataType) -> bool:
@@ -229,14 +220,15 @@ def merge_datasets(
     (that would re-scan the input); they ride the same shuffle spread
     round-robin over buckets and the per-bucket fold passes them
     through untouched."""
-    keyed = ds.map_batches(
-        _add_bucket,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        fn_kwargs={"key": key, "num_buckets": num_buckets},
-    )
 
     def fold(t: pa.Table) -> pa.Table:
-        return merge_fold_passthrough_arrow(t.drop_columns(["__bucket"]), key, ts)
+        # looked up at call time: tracing rebinds it by name
+        return merge_fold_passthrough_arrow(t, key, ts)
 
-    return keyed.groupby("__bucket").map_groups(fold, batch_format="pyarrow")
+    return bucketed(
+        ds,
+        partial(_merge_hashes, key=key),
+        fold,
+        num_buckets=num_buckets,
+        batch_format="pyarrow",
+    )

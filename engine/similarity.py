@@ -22,6 +22,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
+from engine.exchange import bucketed
+
 
 def _stack(col) -> np.ndarray:
     """list<float> column -> (n, d) float64 matrix; empty -> (0, 0)
@@ -851,7 +853,7 @@ def lsh_bucketed_pairs(
     family that DuckDB can recompute exactly, making the WHOLE path
     (signature -> cell -> exact-cosine verify) hard-oracle-able.
     """
-    from engine.dedup import _cell_bounds, _mix64, _pairs_buckets, _segment_pairs
+    from engine.dedup import _cell_bounds, _pairs_buckets, _segment_pairs
 
     if max_cell is not None and max_cell < 2:
         raise ValueError(f"max_cell must be >= 2 (got {max_cell})")
@@ -859,16 +861,13 @@ def lsh_bucketed_pairs(
 
     def sign(t: pa.Table) -> pa.Table:
         if len(t) == 0:
-            t = t.append_column("__sig", pa.array([], pa.uint64()))
-            return t.append_column("__bucket", pa.array([], pa.int64()))
+            return t.append_column("__sig", pa.array([], pa.uint64()))
         x = _normalize(_stack(t.column(vec_col)))
         if planes == "axes":
             sig = axis_signatures(x, num_bits)
         else:
             sig = hyperplane_signatures(x, num_bits)
-        t = t.append_column("__sig", pa.array(sig, type=pa.uint64()))
-        coarse = (_mix64(sig) % np.uint64(num_buckets)).astype(np.int64)
-        return t.append_column("__bucket", pa.array(coarse))
+        return t.append_column("__sig", pa.array(sig, type=pa.uint64()))
 
     def _empty():
         return pd.DataFrame(
@@ -911,13 +910,12 @@ def lsh_bucketed_pairs(
             }
         )
 
-    return (
-        ds.map_batches(sign, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(
-            lambda df: bucket_pairs(df.drop(columns=["__bucket"])),
-            batch_format="pandas",
-        )
+    return bucketed(
+        ds.map_batches(sign, batch_format="pyarrow", zero_copy_batch=True),
+        "__sig",
+        bucket_pairs,
+        num_buckets=num_buckets,
+        batch_format="pandas",
     )
 
 

@@ -86,9 +86,9 @@ class StreamingUpsert:
         self.seq = 0
 
     def _shard_of(self, keys) -> np.ndarray:
-        from engine.merge import _bucket_of  # ONE partition-hash invariant
+        from engine.exchange import bucket_ids  # ONE partition-hash invariant
 
-        return _bucket_of(keys, self.n)
+        return bucket_ids(keys, self.n)
 
     def rebuild_from_table(self):
         """Recover index state from the table (actor restart path).
@@ -112,7 +112,7 @@ class StreamingUpsert:
         shards, n, key, ts = self.shards, self.n, self.key, self.ts
 
         def route(t: pa.Table) -> pa.Table:
-            from engine.merge import _bucket_of
+            from engine.exchange import bucket_ids
 
             done = pa.table({"loaded": pa.array([len(t)], pa.int64())})
             if len(t) == 0:
@@ -126,7 +126,7 @@ class StreamingUpsert:
                 zero_copy_only=False
             )
             keys_py = keys.to_pylist()
-            sh = _bucket_of(keys, n)
+            sh = bucket_ids(keys, n)
             ray.get(
                 [
                     shards[s].load.remote(

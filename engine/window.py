@@ -9,6 +9,12 @@ bucket, same discipline as MERGE), sort each bucket's frame by
 kernels. Ordering assumption: all rows of one key land in one bucket
 (guaranteed by the key hash); within the bucket pandas sorts them.
 
+The exchange is :func:`engine.exchange.bucketed` with ``by=key``: every
+NULL key hashes to one value, so the NULL group lands in ONE bucket and
+sessionizes as one key group (SQL ``GROUP BY`` / ``PARTITION BY``).
+MERGE's round-robin spread of null keys would split it per bucket.
+Empty strings are a distinct ordinary key.
+
 - :func:`sessionize`: new session when the gap to the previous event of
   the same key exceeds ``gap``; emits ``session_seq`` (0-based per key).
 - :func:`session_stats`: per-key session count + event count.
@@ -19,29 +25,10 @@ kernels. Ordering assumption: all rows of one key land in one bucket
 
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-
-def _add_window_bucket(batch: pa.Table, key: str, num_buckets: int) -> pa.Table:
-    """hash(key) % B with ALL null keys routed to one bucket.
-
-    NOT merge's ``_add_bucket``: merge round-robins null keys because
-    they pass through unmerged, but a window treats NULL as one key
-    group (SQL ``GROUP BY`` / ``PARTITION BY`` semantics) -- scattering
-    its rows across buckets would sessionize the null group per-bucket.
-    Empty strings are a distinct ordinary key and hash consistently."""
-    import pyarrow.compute as pc
-
-    from engine.dedup import hash64_keys
-
-    col = batch.column(key)
-    buckets = (hash64_keys(col) % np.uint64(num_buckets)).astype(np.int64)
-    nulls = pc.is_null(col.combine_chunks()).to_numpy(zero_copy_only=False)
-    if nulls.any():
-        buckets[nulls] = 0
-    return batch.append_column("__bucket", pa.array(buckets))
+from engine.exchange import bucketed
 
 
 def _sessionize_frame(df: pd.DataFrame, key: str, ts: str, gap_us: int) -> pd.DataFrame:
@@ -77,17 +64,11 @@ def _sessionize_frame(df: pd.DataFrame, key: str, ts: str, gap_us: int) -> pd.Da
 def sessionize(ds, key: str = "user_id", ts: str = "ts", gap_seconds: float = 1800.0, num_buckets: int = 64):
     """Append ``session_seq`` per key under a gap rule (session window)."""
     gap_us = int(gap_seconds * 1_000_000)
-    keyed = ds.map_batches(
-        _add_window_bucket,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        fn_kwargs={"key": key, "num_buckets": num_buckets},
-    )
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
-        return _sessionize_frame(df.drop(columns=["__bucket"]), key, ts, gap_us)
+        return _sessionize_frame(df, key, ts, gap_us)
 
-    return keyed.groupby("__bucket").map_groups(fold, batch_format="pandas")
+    return bucketed(ds, key, fold, num_buckets=num_buckets, batch_format="pandas")
 
 
 def session_stats(ds, key: str = "user_id", ts: str = "ts", gap_seconds: float = 1800.0, num_buckets: int = 64):
@@ -97,21 +78,17 @@ def session_stats(ds, key: str = "user_id", ts: str = "ts", gap_seconds: float =
     rows of a key are in the bucket already, so the per-bucket stats
     are final), and only ``(key, ts)`` ride the exchange."""
     gap_us = int(gap_seconds * 1_000_000)
-    keyed = ds.select_columns([key, ts]).map_batches(
-        _add_window_bucket,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        fn_kwargs={"key": key, "num_buckets": num_buckets},
-    )
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
-        df = _sessionize_frame(df.drop(columns=["__bucket"]), key, ts, gap_us)
+        df = _sessionize_frame(df, key, ts, gap_us)
         g = df.groupby(key, dropna=False)["session_seq"].agg(["max", "size"]).reset_index()
         g["n_sessions"] = (g["max"] + 1).astype("int64")
         g["n_events"] = g["size"].astype("int64")
         return g[[key, "n_sessions", "n_events"]]
 
-    return keyed.groupby("__bucket").map_groups(fold, batch_format="pandas")
+    return bucketed(
+        ds.select_columns([key, ts]), key, fold, num_buckets=num_buckets, batch_format="pandas"
+    )
 
 
 def tumbling_window_agg(ds, ts: str = "ts", value: str = "value", width_seconds: float = 3600.0):

@@ -7,13 +7,12 @@ import pytest
 import pyarrow as pa
 import ray.data
 
+from dedup_oracle import jaccard_ngrams, simhash64
 from engine.dedup import (
     exact_dedup,
     hamming64,
-    jaccard_ngrams,
     minhash_dedup_pairs,
     minhash_signature,
-    simhash64,
     simhash_dup_pairs,
     word_shingles,
     _crc32_array,
@@ -487,10 +486,12 @@ def test_hash64_strings_vectorized_content_hash(kernel):
 
 
 def test_add_bucket_string_and_fallback_paths_agree_on_shape():
-    import numpy as np
+    from functools import partial
+
     import pyarrow as pa
 
-    from engine.merge import _add_bucket
+    from engine.exchange import BUCKET, add_bucket
+    from engine.merge import _merge_hashes
 
     t = pa.table(
         {
@@ -498,16 +499,17 @@ def test_add_bucket_string_and_fallback_paths_agree_on_shape():
             "v": [1, 2, 3, 4, 5],
         }
     )
-    out = _add_bucket(t, "url", 4)
-    b = out.column("__bucket").to_numpy()
+    out = add_bucket(t, partial(_merge_hashes, key="url"), 4)
+    b = out.column(BUCKET).to_numpy()
     # same key -> same bucket; null/empty spread round-robin (0, 1)
     assert b[0] == b[4]
     assert sorted([b[1], b[2]]) == [0, 1]
-    # non-string key type rides the pandas fallback
+    # a non-string key by column name rides the canonical-value hash
     t2 = pa.table({"k": pa.array([10, None, 10, 7], pa.int64()), "v": [1, 2, 3, 4]})
-    out2 = _add_bucket(t2, "k", 4)
-    b2 = out2.column("__bucket").to_numpy()
+    out2 = add_bucket(t2, "k", 4)
+    b2 = out2.column(BUCKET).to_numpy()
     assert b2[0] == b2[2]
+    assert out2.column_names == ["k", "v", BUCKET]
 
 
 def test_hash64_keys_dispatch_type_matrix():

@@ -384,6 +384,29 @@ def test_merge_into_makes_no_topology_probe(tmp_table_root, ray_session, monkeyp
     pd.testing.assert_frame_equal(got, _expected_merge(src).astype(got.dtypes.to_dict()))
 
 
+def test_small_merge_into_reads_no_cluster_resources(tmp_table_root, ray_session, monkeypatch):
+    """The small-table merge sizes no exchange: with
+    ``ray.cluster_resources`` and the distributed merge both raising,
+    an 800-row ``merge_into`` takes the one-task route and gives the
+    oracle's rows."""
+    import ray as ray_mod
+
+    import engine.jobs as jobs_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the small-table merge sized a bucket exchange")
+
+    src = synth_pages_table(800)
+    t = Table.create(tmp_table_root)
+    ingest(t, ray.data.from_arrow(src), CFG, sanitize_cols=())
+    with monkeypatch.context() as m:
+        m.setattr(ray_mod, "cluster_resources", refuse)
+        m.setattr(jobs_mod, "merge_datasets", refuse)
+        merge_into(t, CFG)
+    got = _sorted_pages(t.scan().to_pandas())
+    pd.testing.assert_frame_equal(got, _expected_merge(src).astype(got.dtypes.to_dict()))
+
+
 def test_fused_sanitize_matches_staged(ray_session):
     """normalize_stage(sanitize_cols=...) must be byte-identical to the
     separate normalize -> sanitize_stage pipeline (same kernels, same

@@ -455,7 +455,7 @@ def test_topk_kernel_hypothesis_vs_pandas():
                 [("kk", pa.string()), ("v", pa.int64()), ("id", pa.int64())]
             ),
         )
-        got = _topk_table(t, "kk", "v", k, ("id",), True)[0].to_pandas()
+        got = _topk_table(t, "kk", "v", k, ("id",), True).to_pandas()
         ref = (
             df.sort_values(
                 ["v", "id"], ascending=[False, True], na_position="last",
