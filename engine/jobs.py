@@ -22,6 +22,7 @@ from typing import Optional
 
 import pyarrow as pa
 import ray.data
+from ray.data.dataset import MaterializedDataset
 
 from engine.config import EngineConfig
 from engine.exchange import bucketed
@@ -229,38 +230,93 @@ def ingest_sharded(
     }
 
 
+def _small_input(live: list, schema: Optional[pa.Schema], source, cfg: EngineConfig) -> bool:
+    """The one-task route's rule, shared by MERGE and clustering: no
+    ``shuffle_blocks`` pin (its contract is a fixed distributed
+    partitioning), something to read, a manifest schema for the live
+    files, a source that is ``None`` or already materialized, and the
+    live file bytes plus the source's in-memory bytes within
+    ``SMALL_TABLE_BYTES``. Sizes come from metadata only: the
+    manifest's file bytes and the source's block metadata. A lazy
+    source keeps the distributed route: executing it just to size it
+    would run its pipeline twice."""
+    if cfg.shuffle_blocks or (live and schema is None) or not (live or source is not None):
+        return False
+    if source is not None and not isinstance(source, MaterializedDataset):
+        return False
+    nbytes = sum(f.bytes for f in live) + (source.size_bytes() if source is not None else 0)
+    return nbytes <= SMALL_TABLE_BYTES
+
+
+def _lww_fold(block: pa.Table, key: str, ts: str) -> pa.Table:
+    """MERGE's op for :func:`_small_task`: the LWW fold every route runs."""
+    from engine import merge
+
+    return merge.merge_fold_passthrough_arrow(block, key, ts)
+
+
+def _zkey_sort(block: pa.Table, codes: dict, curve: str, cols: tuple) -> pa.Table:
+    """Clustering's op for :func:`_small_task`: curve key, then an
+    in-memory sort by it."""
+    import pyarrow.compute as pc
+
+    from engine import zorder
+
+    keyed = zorder.add_cluster_key(block, codes, curve=curve, cols=cols)
+    return keyed.take(pc.sort_indices(keyed, sort_keys=[(ZKEY_COL, "ascending")]))
+
+
 @ray.remote(num_cpus=1)
-def _merge_small_task(
+def _small_task(
     paths: list,
+    source_refs: list,
+    schema: pa.Schema,
+    op,
+    op_args: tuple,
     data_dir: str,
     prefix: str,
-    key: str,
-    ts: str,
     stats_cols: tuple,
-    schema: pa.Schema,
-) -> list:
-    """Whole-table MERGE in ONE task (small-table fast path): read ->
-    LWW fold -> write. Only reached when the table's live bytes fit one
-    worker's heap (``SMALL_TABLE_BYTES``) and there is no source
-    Dataset (a source's size is unknown without executing it). The fold
-    is :func:`engine.merge.merge_fold_passthrough_arrow` -- the SAME function
-    the distributed per-bucket path runs, applied to all rows at once:
-    bucketing is purely a parallelism device over a row-set fold, so
-    semantics are unchanged by construction. At the driver bench's
-    ~30 MB / 200 k-row config the distributed repartition + sort-shuffle
-    groupby spends ~3 s of orchestration on ~0.5 s of fold compute
-    (BASELINE.md round 4); never triggers at production scale.
+    rows_per_file: Optional[int],
+) -> tuple:
+    """A whole-table rewrite in ONE task, for inputs under
+    :func:`_small_input`: read the live files, append the source's
+    Arrow blocks, align all of them to one schema, run ``op`` (the LWW
+    fold or the curve-key sort) over every row at once, then write
+    ``rows_per_file``-row files (one file when ``None``). ``op`` is the
+    function the distributed route runs per bucket or per block:
+    bucketing and range partitioning only add parallelism, so results
+    match by construction. Below the bound the exchange's orchestration
+    outweighs the compute ~4:1 (BASELINE.md round 4).
 
-    ``schema`` is the manifest's VISIBLE schema, aligned per file the
-    same way ``Table.scan`` serves the distributed path (evolved
-    columns null-filled, ``__``-internals dropped)."""
-    from engine.merge import merge_fold_passthrough_arrow
-    from engine.writer import read_tables_parallel, write_block
+    The schema is the manifest's, unified with the source blocks' and
+    stripped of ``__``-internals such as a prior run's zkey; evolved
+    columns are null-filled, the view ``Table.scan`` gives the
+    distributed route. Returns ``(schema, manifest rows)``. ``op`` and
+    ``write_block`` resolve through their module attributes at call
+    time, so wrappers installed by name in the worker see them."""
+    from engine import writer
 
-    tables = read_tables_parallel(paths)
-    merged = pa.concat_tables([align_to_schema(t, schema) for t in tables])
-    block = merge_fold_passthrough_arrow(merged, key, ts)
-    return [write_block(block, data_dir, prefix, stats_cols=stats_cols)]
+    tables = writer.read_tables_parallel(paths) + ray.get(source_refs)
+    unified = pa.unify_schemas([schema] + [t.schema for t in tables[len(paths):]])
+    schema = pa.schema([f for f in unified if not f.name.startswith("__")])
+    block = op(pa.concat_tables([align_to_schema(t, schema) for t in tables]), *op_args)
+    per = rows_per_file or len(block) or 1
+    return schema, [
+        writer.write_block(block.slice(off, per), data_dir, prefix, stats_cols=stats_cols)
+        for off in range(0, max(len(block), 1), per)
+    ]
+
+
+def _rewrite_small(table, live, schema, source, op, op_args, prefix, stats_cols, rows_per_file=None):
+    """Run :func:`_small_task` on the driver's behalf: ``(schema, entries)``."""
+    refs = source.to_arrow_refs() if source is not None else []
+    schema, rows = ray.get(
+        _small_task.remote(
+            [f.path for f in live], refs, schema or pa.schema([]), op, op_args,
+            table.data_dir, prefix, tuple(stats_cols), rows_per_file,
+        )
+    )
+    return schema, [FileEntry.from_json(r) for r in rows]
 
 
 def merge_into(
@@ -272,7 +328,14 @@ def merge_into(
     """MERGE INTO: current table contents (optionally unioned with a new
     source Dataset) collapsed to one row per url, LWW by warc_ts with
     non-empty coalesce; NULL-url rows pass through. Rewrites the table
-    (new files, old files stay until expiration -- snapshot isolation)."""
+    (new files, old files stay until expiration -- snapshot isolation).
+
+    Under :func:`_small_input` (live bytes plus a materialized source's
+    bytes within ``SMALL_TABLE_BYTES``) the whole merge is one
+    :func:`_small_task`; otherwise it is the hash-partitioned exchange
+    of ``merge_datasets``. Either way the commit carries the output's
+    schema, so a source wider than the table adds its columns (null for
+    the table's old rows)."""
     cfg = cfg if cfg is not None else EngineConfig()
     job_id = job_id or uuid.uuid4().hex[:8]
     # ONE manifest parse per merge_into(): files + schema off the same
@@ -280,28 +343,11 @@ def merge_into(
     snap = table.snapshot()
     live = snap.files
     schema = snap.arrow_schema()
-    if (
-        source is None
-        and live
-        and schema is not None
-        and not cfg.shuffle_blocks  # explicit partitioning pin wins
-        and sum(f.bytes for f in live) <= SMALL_TABLE_BYTES
-    ):
-        # small-table fast path: one task, no exchange (see
-        # _merge_small_task). Semantics identical: same fold function,
-        # same key/ts, same per-file stats.
-        rows_out = ray.get(
-            _merge_small_task.remote(
-                [f.path for f in live],
-                table.data_dir,
-                f"merge-{job_id}",
-                cfg.merge_key,
-                cfg.merge_ts,
-                tuple(cfg.stats_cols),
-                pa.schema([f for f in schema if not f.name.startswith("__")]),
-            )
+    if _small_input(live, schema, source, cfg):
+        schema, entries = _rewrite_small(
+            table, live, schema, source, _lww_fold, (cfg.merge_key, cfg.merge_ts),
+            f"merge-{job_id}", cfg.stats_cols,
         )
-        entries = [FileEntry.from_json(r) for r in rows_out]
     else:
         # coalesce AT THE READ (override_num_blocks) instead of a
         # repartition exchange after it: the sort-shuffle's cost grows
@@ -324,8 +370,11 @@ def merge_into(
         entries = write_files(
             merged, table.data_dir, prefix=f"merge-{job_id}", stats_cols=cfg.stats_cols
         )
+        schema = _entries_schema(entries)
     old_paths = [f.path for f in live]
-    snap = table.commit(f"merge:{job_id}", add_files=entries, remove_files=old_paths)
+    snap = table.commit(
+        f"merge:{job_id}", add_files=entries, remove_files=old_paths, schema=schema
+    )
     return {"snapshot_id": snap.snapshot_id, "files": len(entries), "rows": snap.total_rows}
 
 
@@ -380,47 +429,6 @@ def _sort_blocks(
     return int(min(4096, max(blocks, min(rows // 200_000, 64))))
 
 
-@ray.remote(num_cpus=1)
-def _cluster_small_task(
-    paths: list,
-    data_dir: str,
-    prefix: str,
-    codes: dict,
-    curve: str,
-    cols: tuple,
-    stats_cols: tuple,
-    rows_per_file: Optional[int],
-    schema: pa.Schema,
-) -> list:
-    """Whole-table clustering rewrite in ONE task (small-table fast
-    path): read -> curve key -> in-memory sort -> write. Only reached
-    when the table's live bytes fit comfortably in one worker's heap
-    (``SMALL_TABLE_BYTES``); the distributed sort's sample +
-    range-exchange orchestration dominates actual compute ~4:1 at this
-    size (BASELINE.md round 4).
-
-    ``schema`` is the manifest's VISIBLE schema: each file is aligned
-    to it (evolved columns null-filled, ``__``-internals such as a
-    prior run's zkey dropped) -- the same view ``Table.scan`` serves
-    the distributed path."""
-    import pyarrow.compute as pc
-
-    from engine.writer import read_tables_parallel, write_block
-    from engine.zorder import add_cluster_key
-
-    tables = read_tables_parallel(paths)
-    merged = pa.concat_tables([align_to_schema(t, schema) for t in tables])
-    keyed = add_cluster_key(merged, codes, curve=curve, cols=cols)
-    keyed = keyed.take(pc.sort_indices(keyed, sort_keys=[(ZKEY_COL, "ascending")]))
-    per = rows_per_file or len(keyed) or 1
-    out = []
-    for off in range(0, max(len(keyed), 1), per):
-        chunk = keyed.slice(off, per)
-        if len(chunk) or not out:
-            out.append(write_block(chunk, data_dir, prefix, stats_cols=stats_cols))
-    return out
-
-
 def _codes_from_manifest(files: list, col: str) -> Optional[dict]:
     """Dense dictionary codes for ``col`` from the manifest's per-file
     distinct-value sets -- exact iff EVERY live file recorded the stat
@@ -458,29 +466,12 @@ def cluster(
         codes = collect_lang_codes(
             table.scan(columns=[cfg.cluster_cols[0]]), col=cfg.cluster_cols[0]
         )
-    if (
-        live
-        and mschema is not None
-        and not (cfg.shuffle_blocks)  # explicit partitioning pin wins
-        and sum(f.bytes for f in live) <= SMALL_TABLE_BYTES
-    ):
-        # small-table fast path: one task, no distributed sort (see
-        # _cluster_small_task). Semantics identical: same key, same
-        # global zkey order across output files, same per-file stats.
-        rows_out = ray.get(
-            _cluster_small_task.remote(
-                [f.path for f in live],
-                table.data_dir,
-                f"cluster-{job_id}",
-                codes,
-                cfg.cluster_curve,
-                tuple(cfg.cluster_cols),
-                tuple(cfg.stats_cols) + (ZKEY_COL,),
-                rows_per_file,
-                pa.schema([f for f in mschema if not f.name.startswith("__")]),
-            )
+    if _small_input(live, mschema, None, cfg):
+        _, entries = _rewrite_small(
+            table, live, mschema, None, _zkey_sort,
+            (codes, cfg.cluster_curve, tuple(cfg.cluster_cols)),
+            f"cluster-{job_id}", tuple(cfg.stats_cols) + (ZKEY_COL,), rows_per_file,
         )
-        entries = [FileEntry.from_json(r) for r in rows_out]
     else:
         blocks = _sort_blocks(table, cfg, live=live)
         clustered = cluster_dataset(

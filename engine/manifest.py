@@ -59,10 +59,11 @@ DECODED_BYTES_PER_FILE_BYTE = 5
 #: read each), so it holds at most this many decoded files at once
 FILES_PER_RUN = 8
 
-#: tables at or below this many live manifest bytes are small. Merge
-#: skips its exchange (no source Dataset) and clustering its
-#: distributed sort: ONE Ray task reads the files, runs the identical
-#: fold / curve-key sort over all rows at once and writes the output.
+#: tables at or below this many live manifest bytes (plus a merge's
+#: materialized source bytes) are small. Merge skips its exchange and
+#: clustering its distributed sort (``jobs._small_input``): ONE Ray
+#: task reads the input, runs the identical fold / curve-key sort over
+#: all rows at once and writes the output.
 #: Bucketing and range partitioning are purely parallelism devices, so
 #: semantics are unchanged by construction. At this size orchestration
 #: dominates compute ~4:1 (merge: ~3 s of repartition + sort-shuffle for

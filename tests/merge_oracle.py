@@ -51,7 +51,7 @@ def merge_fold_passthrough(df: pd.DataFrame, key: str, ts: str) -> pd.DataFrame:
     """The per-bucket merge fold including NULL/empty-key passthrough.
 
     TEST ORACLE ONLY (see :func:`merge_fold`): production paths -- the
-    distributed per-bucket fold of ``merge_datasets``, ``jobs._merge_small_task``, and
+    distributed per-bucket fold of ``merge_datasets``, ``jobs._small_task``, and
     the streaming upsert -- all run
     :func:`merge_fold_passthrough_arrow` / :func:`merge_fold_arrow`;
     this pandas twin exists for the parity fuzz in tests/test_merge.py.

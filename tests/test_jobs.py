@@ -6,6 +6,7 @@ import os
 import pandas as pd
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 import ray.data
@@ -202,16 +203,16 @@ def test_merge_small_fast_path_matches_distributed(tmp_path, ray_session):
 
 
 def test_merge_small_fast_path_gate(tmp_path, ray_session):
-    """A source Dataset or an explicit shuffle_blocks pin must suppress
-    the fast path (source size is unknown; the pin's contract is a
-    fixed distributed partitioning) — and the merged result is the
-    same either way."""
+    """A small materialized source Dataset takes the one-task route
+    (its size is block metadata); an explicit shuffle_blocks pin
+    suppresses it (the pin's contract is a fixed distributed
+    partitioning) — and the merged result is the same either way."""
     full = synth_pages_table(400)
     t = Table.create(str(tmp_path / "t"))
     ingest(t, ray.data.from_arrow(full.slice(0, 200)), CFG, sanitize_cols=())
-    # source present -> distributed path (files > 1 with 4 buckets)
+    # from_arrow gives a materialized source -> one task, one file
     out = merge_into(t, CFG, source=ray.data.from_arrow(full.slice(200, 200)))
-    assert out["files"] > 1
+    assert out["files"] == 1
     assert out["rows"] == len(t.scan().to_pandas())
     # pin present -> distributed path even though the table is tiny
     out2 = merge_into(t, EngineConfig(merge_buckets=4, shuffle_blocks=4))
@@ -273,7 +274,7 @@ def test_ingest_sharded_resume(tmp_path, ray_session):
 
 
 def _sorted_pages(df: pd.DataFrame) -> pd.DataFrame:
-    cols = ["url", "warc_ts", "text", "lang", "html"]
+    cols = sorted(df.columns)
     return (
         df[cols]
         .sort_values(cols, na_position="first", key=lambda s: s.astype(str))
@@ -281,14 +282,17 @@ def _sorted_pages(df: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def _expected_merge(src: pa.Table) -> pd.DataFrame:
-    """``src`` merged by the pandas oracle (``tests/merge_oracle.py``).
-    Exact only while no url has two rows at one warc_ts, which holds
-    for ``synth_pages_table``: the oracle breaks ts ties by input
-    order, which the engine's routes do not share."""
+def _expected_merge(*batches: pa.Table) -> pd.DataFrame:
+    """``batches`` (oldest first), aligned to their unified schema and
+    merged by the pandas oracle (``tests/merge_oracle.py``). Exact only
+    while no url has two rows at one warc_ts, which holds for
+    ``synth_pages_table``: the oracle breaks ts ties by input order,
+    which the engine's routes do not share."""
     from merge_oracle import merge_fold_passthrough
 
-    return _sorted_pages(merge_fold_passthrough(src.to_pandas(), "url", "warc_ts"))
+    schema = pa.unify_schemas([b.schema for b in batches])
+    rows = pa.concat_tables([align_to_schema(b, schema) for b in batches])
+    return _sorted_pages(merge_fold_passthrough(rows.to_pandas(), "url", "warc_ts"))
 
 
 def test_merge_into_wide_payload_path(tmp_table_root, ray_session):
@@ -405,6 +409,147 @@ def test_small_merge_into_reads_no_cluster_resources(tmp_table_root, ray_session
         merge_into(t, CFG)
     got = _sorted_pages(t.scan().to_pandas())
     pd.testing.assert_frame_equal(got, _expected_merge(src).astype(got.dtypes.to_dict()))
+
+
+ROUTES = [
+    ("one_task", CFG),
+    ("distributed", EngineConfig(merge_buckets=4, shuffle_blocks=4)),
+]
+
+
+@pytest.mark.parametrize("route,cfg", ROUTES, ids=[r for r, _ in ROUTES])
+def test_merge_wider_source_adds_its_columns(tmp_path, ray_session, route, cfg):
+    """A source with a column the table lacks adds it: the merged
+    snapshot's schema and its scan carry ``extra_col``, null on the
+    table's old rows, on both routes."""
+    full = synth_pages_table(300)
+    base = full.slice(0, 200)
+    src = full.slice(200, 100)
+    src = src.append_column("extra_col", pa.array([f"x{i}" for i in range(len(src))]))
+    t = Table.create(str(tmp_path / route))
+    ingest(t, ray.data.from_arrow(base), cfg, sanitize_cols=())
+    out = merge_into(t, cfg, source=ray.data.from_arrow(src))
+    assert (out["files"] == 1) == (route == "one_task")
+    assert "extra_col" in t.snapshot().arrow_schema().names
+    scan = t.scan()
+    assert "extra_col" in scan.schema().names
+    got = _sorted_pages(scan.to_pandas())
+    exp = _expected_merge(base, src)
+    assert got.extra_col.isna().sum() == exp.extra_col.isna().sum() > 0
+    pd.testing.assert_frame_equal(got, exp.astype(got.dtypes.to_dict()))
+
+
+def _with_edge_rows(t: pa.Table, offset: int) -> pa.Table:
+    """Empty-string urls (passthrough, like NULL urls) and a few NULL
+    ``warc_ts`` rows (the oldest writer). The NULL-ts positions map to
+    distinct urls across every batch, so no url holds two NULL-ts rows
+    and no LWW tie is path-dependent."""
+    pos = np.arange(offset, offset + len(t))
+    url = pc.if_else(pa.array(pos % 50 == 11), pa.scalar("", pa.string()), t.column("url"))
+    null_ts = pa.array(np.isin(pos, [3, 17, 40, 77, 901]))
+    ts = pc.if_else(null_ts, pa.scalar(None, t.schema.field("warc_ts").type), t.column("warc_ts"))
+    t = t.set_column(t.schema.get_field_index("url"), "url", url)
+    return t.set_column(t.schema.get_field_index("warc_ts"), "warc_ts", ts)
+
+
+@pytest.mark.parametrize("width", ["narrower", "wider"])
+def test_merge_source_routes_match_oracle(tmp_path, ray_session, width):
+    """The one-task source route and the distributed source route give
+    the oracle's rows on a schema-evolved table (one ingest lacks
+    ``crawl_tag``), with a source narrower than the table (no ``html``
+    or ``crawl_tag``) or wider (adds ``extra_col``). The inputs hold
+    NULL and empty urls, NULL ``warc_ts`` rows and newer empty-string
+    cells that must not overwrite older values."""
+    full = synth_pages_table(1200)
+    a = _with_edge_rows(full.slice(0, 400), 0)
+    b = _with_edge_rows(full.slice(400, 400), 400)
+    b = b.append_column("crawl_tag", pa.array(["c2"] * len(b), type=pa.string()))
+    src = _with_edge_rows(full.slice(800, 400), 800)
+    if width == "narrower":
+        src = src.drop_columns(["html"])
+    else:
+        src = src.append_column("crawl_tag", pa.array(["c3"] * len(src), type=pa.string()))
+        src = src.append_column("extra_col", pa.array(np.arange(len(src), dtype=np.int64)))
+    assert pc.sum(pc.equal(src.column("text"), "")).as_py() > 0
+    exp = _expected_merge(a, b, src)
+    results = {}
+    for route, cfg in ROUTES:
+        t = Table.create(str(tmp_path / route))
+        ingest(t, ray.data.from_arrow(a), cfg, sanitize_cols=())
+        ingest(t, ray.data.from_arrow(b), cfg, sanitize_cols=())
+        out = merge_into(t, cfg, source=ray.data.from_arrow(src))
+        assert (out["files"] == 1) == (route == "one_task"), route
+        got = _sorted_pages(t.scan().to_pandas())
+        pd.testing.assert_frame_equal(got, exp.astype(got.dtypes.to_dict()), obj=route)
+        results[route] = got
+    pd.testing.assert_frame_equal(results["one_task"], results["distributed"])
+
+
+def _refuse(what: str):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"merge_into ran {what}")
+
+    return refuse
+
+
+def test_small_materialized_source_skips_the_exchange(tmp_table_root, ray_session, monkeypatch):
+    """A materialized source under the bound merges in one task: with
+    the distributed merge raising, the merge still gives the oracle's
+    rows."""
+    import engine.jobs as jobs_mod
+
+    full = synth_pages_table(800)
+    t = Table.create(tmp_table_root)
+    ingest(t, ray.data.from_arrow(full.slice(0, 400)), CFG, sanitize_cols=())
+    monkeypatch.setattr(jobs_mod, "merge_datasets", _refuse("the distributed merge"))
+    assert merge_into(t, CFG, source=ray.data.from_arrow(full.slice(400, 400)))["files"] == 1
+    got = _sorted_pages(t.scan().to_pandas())
+    pd.testing.assert_frame_equal(got, _expected_merge(full).astype(got.dtypes.to_dict()))
+
+
+def test_lazy_source_is_not_sized(tmp_path, ray_session, monkeypatch):
+    """A lazy source keeps the distributed route and is executed once:
+    with the one-task body raising, the merge gives the oracle's rows
+    and the source's UDF ran once per input block."""
+    import types
+
+    import engine.jobs as jobs_mod
+
+    full = synth_pages_table(800)
+    t = Table.create(str(tmp_path / "t"))
+    ingest(t, ray.data.from_arrow(full.slice(0, 400)), CFG, sanitize_cols=())
+    calls = tmp_path / "calls"
+    calls.mkdir()
+
+    def mark(batch: pa.Table) -> pa.Table:
+        (calls / os.urandom(8).hex()).touch()
+        return batch
+
+    blocks = [full.slice(off, 100) for off in range(400, 800, 100)]
+    source = ray.data.from_arrow(blocks).map_batches(mark, batch_format="pyarrow", batch_size=None)
+    monkeypatch.setattr(jobs_mod, "_small_task", types.SimpleNamespace(remote=_refuse("one task")))
+    merge_into(t, CFG, source=source)
+    assert len(list(calls.iterdir())) == len(blocks)
+    got = _sorted_pages(t.scan().to_pandas())
+    pd.testing.assert_frame_equal(got, _expected_merge(full).astype(got.dtypes.to_dict()))
+
+
+def test_source_over_the_bound_takes_the_exchange(tmp_table_root, ray_session, monkeypatch):
+    """The bound counts the source's bytes: with ``SMALL_TABLE_BYTES``
+    at the live bytes alone, a materialized source tips the merge onto
+    the distributed route, which gives the oracle's rows."""
+    import types
+
+    import engine.jobs as jobs_mod
+
+    full = synth_pages_table(800)
+    t = Table.create(tmp_table_root)
+    ingest(t, ray.data.from_arrow(full.slice(0, 400)), CFG, sanitize_cols=())
+    monkeypatch.setattr(jobs_mod, "SMALL_TABLE_BYTES", sum(f.bytes for f in t.live_files()))
+    monkeypatch.setattr(jobs_mod, "_small_task", types.SimpleNamespace(remote=_refuse("one task")))
+    assert merge_into(t, CFG, source=ray.data.from_arrow(full.slice(400, 400)))["files"] > 1
+    got = _sorted_pages(t.scan().to_pandas())
+    pd.testing.assert_frame_equal(got, _expected_merge(full).astype(got.dtypes.to_dict()))
 
 
 def test_fused_sanitize_matches_staged(ray_session):
