@@ -260,9 +260,10 @@ def _q_quality_entropy(sf_dir: str):
 
 def _q_line_dedup(sf_dir: str):
     """C4-style global line dedup: each distinct line survives only at
-    its lexicographically first (doc_id, idx) occurrence; docs are
-    reassembled from surviving lines. Text never rides the exchange --
-    only (hash, doc, idx) triples and loser coordinates."""
+    its first (doc_id, idx) occurrence; docs are reassembled from
+    surviving lines, NULL doc_id rows pass through. Text never rides
+    the exchange -- only (hash, doc, idx) triples and loser
+    coordinates. The same pipeline as ``line_dedup_pages``' job."""
     import ray.data
 
     from engine.dedup import dedup_lines_global
@@ -275,10 +276,11 @@ def _q_line_dedup(sf_dir: str):
 
 def _q_line_dedup_pages(sf_dir: str):
     """The TABLE-lifecycle variant of line_dedup: ingest -> MERGE ->
-    `jobs.dedup_lines` (full rewrite committed through the manifest,
-    like cluster) -> scan. Winner = lexicographically smallest
-    (url, line_idx); NULL/'' url rows pass through untouched (the MERGE
-    null-key passthrough convention)."""
+    `jobs.dedup_lines` (the line_dedup operator keyed by url, committed
+    through the manifest as a full rewrite, like cluster) -> scan.
+    Winner = lexicographically smallest (url, line_idx); NULL/'' url
+    rows pass through untouched (the MERGE null-key passthrough
+    convention)."""
     from engine.config import EngineConfig
     from engine.jobs import dedup_lines, ingest, merge_into
     from engine.manifest import Table
@@ -1272,13 +1274,14 @@ def oracle_sql() -> dict[str, str]:
         # C4 global line dedup: winner = min doc then min idx per
         # distinct line; docs rebuilt from survivors in order (a doc
         # losing every line keeps ''). NULL text = one empty line.
+        # NULL doc_id rows pass through untouched and win no line.
         "line_dedup": (
             "WITH l AS ("
             "  SELECT doc_id, u.i AS idx, u.line FROM ("
             "    SELECT doc_id, unnest(list_transform("
             "      generate_series(1, len(ls)), i -> {'i': i, 'line': ls[i]})) AS u"
             "    FROM (SELECT doc_id, str_split(coalesce(text, ''), chr(10)) AS ls"
-            "          FROM documents))"
+            "          FROM documents WHERE doc_id IS NOT NULL))"
             "), w AS (SELECT line, min(doc_id) AS wdoc FROM l GROUP BY line),"
             " w2 AS (SELECT l.line, w.wdoc, min(l.idx) AS widx FROM l"
             "   JOIN w ON l.line = w.line AND l.doc_id = w.wdoc"
@@ -1290,6 +1293,8 @@ def oracle_sql() -> dict[str, str]:
             "   FROM kept GROUP BY doc_id)"
             " SELECT d.doc_id, coalesce(o.text, '') AS text"
             " FROM documents d LEFT JOIN o ON d.doc_id = o.doc_id"
+            " WHERE d.doc_id IS NOT NULL"
+            " UNION ALL SELECT doc_id, text FROM documents WHERE doc_id IS NULL"
         ),
         # Gopher repetition filters: dup-line fraction over raw '\n'
         # splits (empty doc = one empty line -> 0.0) and the share of

@@ -319,9 +319,8 @@ def run_headline() -> dict:
         ).count()
         timings["rep_stats"] = round(time.perf_counter() - t0, 3)
 
-        # C4 line dedup over the raw documents table (micro, like
-        # minhash_dedup: it needs the int64 doc_id the pages derivation
-        # drops)
+        # C4 line dedup over the raw documents table keyed by doc_id
+        # (micro, like minhash_dedup)
         t0 = time.perf_counter()
         from engine.dedup import dedup_lines_global
 

@@ -50,16 +50,6 @@ def pattern_score_distributed(ds, width_col: str) -> float:
     return score / len(hist)
 
 
-def ratio_distributed(partials_ds, num_col: str, den_col: str) -> float:
-    """Final step of the A3 partial+final pattern: ``partials_ds`` must
-    already be per-batch partial rows (one (numerator, denominator) row
-    per batch, e.g. produced like ``__ray_entry__._q_type_score``), so
-    materializing it is O(batches), not O(rows)."""
-    parts = partials_ds.to_pandas()
-    den = parts[den_col].sum()
-    return float(parts[num_col].sum() / den) if den else 0.0
-
-
 def null_safe_key(arr):
     """The ONE null-safe composite-key encode shared by every grouped
     aggregate (group_count_null_safe, grouped_sum_count,

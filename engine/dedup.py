@@ -616,8 +616,8 @@ def _pairwise_jaccard(u: np.ndarray, u_off: np.ndarray, ia: np.ndarray, ib: np.n
 
 
 class MinHasher:
-    """Actor-pool stage: permutation params built once per actor
-    (reference pattern T3: load-once worker state). The whole batch is
+    """Batch callable: permutation params built once per worker
+    process (reference pattern T3: load-once worker state). The whole batch is
     signed by :func:`minhash_signatures_flat` -- no per-document numpy
     calls in the hot path."""
 
@@ -931,14 +931,13 @@ def minhash_dedup_pairs(
     bands: int = 32,
     shingle_k: int = 3,
     threshold: float = 0.8,
-    concurrency=None,
     prefilter_limit: int = 2_000_000,
     max_cell: int | None = None,
     num_buckets: int | None = None,
 ):
     """MinHash+LSH near-duplicate pairs, Jaccard-verified.
 
-    Stages: minhash (actor pool) -> band explode -> groupby(band) ->
+    Stages: minhash -> band explode -> groupby(band) ->
     candidate pairs -> distributed distinct -> hash-partitioned text
     join (:func:`_attach_pair_texts`) -> true Jaccard >= threshold.
     Document text never touches the driver; when the distinct-pair
@@ -962,35 +961,20 @@ def minhash_dedup_pairs(
     """
     num_buckets = _pairs_buckets(ds, num_buckets)
     ds = _coalesce_small(ds)
-    if concurrency is None:
-        # elastic tasks with per-process cached state: the MinHasher's
-        # state (permutation params) is microseconds to build, so a
-        # fixed actor pool would only cap parallelism of the heaviest
-        # stage; pass an int/tuple to pin an actor pool instead
-        sigs = ds.map_batches(
-            _minhash_fn,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            fn_kwargs={
-                "num_perm": num_perm,
-                "shingle_k": shingle_k,
-                "text_col": text_col,
-                "id_col": id_col,
-            },
-        )
-    else:
-        sigs = ds.map_batches(
-            MinHasher,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            fn_constructor_kwargs={
-                "num_perm": num_perm,
-                "shingle_k": shingle_k,
-                "text_col": text_col,
-                "id_col": id_col,
-            },
-            concurrency=concurrency,
-        )
+    # elastic tasks with per-process cached state: the MinHasher's
+    # state (permutation params) is microseconds to build, so a fixed
+    # actor pool would only cap parallelism of the heaviest stage
+    sigs = ds.map_batches(
+        _minhash_fn,
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        fn_kwargs={
+            "num_perm": num_perm,
+            "shingle_k": shingle_k,
+            "text_col": text_col,
+            "id_col": id_col,
+        },
+    )
     banded = sigs.map_batches(
         _band_rows,
         batch_format="pyarrow",
@@ -1629,30 +1613,19 @@ def simhash_dup_pairs(ds, max_hamming: int = 3, text_col="text", id_col="doc_id"
 
 #: second independent 64-bit line-hash key: the (h1, h2) pair bounds
 #: distinct-line collisions at p ~ n^2 / 2^128 (one 64-bit key has a
-#: real collision rate at 10^12 lines). ONE definition -- shared by the
-#: operator below and the table-lifecycle job (engine.jobs.dedup_lines)
-#: so the exchange semantics can never diverge (review finding).
+#: real collision rate at 10^12 lines). Only :func:`dedup_lines_global`
+#: uses it; the table job (engine.jobs.dedup_lines) runs that pipeline.
 _LINE_HASH_KEY2 = "f0e1d2c3b4a59687"
 
 
-def line_hash_pair(flat_lines: np.ndarray) -> tuple:
-    """(h1, h2) 64-bit content-hash pair for a flat object array of
-    line strings."""
-    h1 = pd.util.hash_array(flat_lines).astype(np.uint64)
-    h2 = pd.util.hash_array(flat_lines, hash_key=_LINE_HASH_KEY2).astype(np.uint64)
-    return h1, h2
-
-
-def line_positions(lens: np.ndarray) -> np.ndarray:
-    """1-based within-doc line indexes for concatenated per-doc
-    segments -- the SQL ``generate_series(1, len)`` convention every
-    line-dedup oracle mirrors."""
-    n = int(lens.sum())
-    return (
-        np.arange(n, dtype=np.int64)
-        - np.repeat(np.cumsum(lens) - lens, lens)
-        + 1
-    )
+def _keyed(keys) -> np.ndarray:
+    """True where a line-dedup key competes for lines: not NULL, and
+    not ``''`` for a string key. The rest pass through untouched."""
+    if pa.types.is_string(keys.type) or pa.types.is_large_string(keys.type):
+        mask = pc.fill_null(pc.not_equal(keys, ""), False)
+    else:
+        mask = pc.is_valid(keys)
+    return mask.to_numpy(zero_copy_only=False)
 
 
 def dedup_lines_global(ds, text_col: str = "text", id_col: str = "doc_id",
@@ -1660,125 +1633,127 @@ def dedup_lines_global(ds, text_col: str = "text", id_col: str = "doc_id",
     """Global line-level dedup (the C4 pipeline's cross-document line
     filter, Raffel et al. 2020, public): a line (``'\\n'`` split of the
     raw text) survives ONLY at its first corpus occurrence -- the
-    lexicographically minimal ``(doc_id, line_idx)`` over every
-    occurrence, including repeats inside one document -- and each doc
-    is reassembled from its surviving lines in original order.
+    minimal ``(id, line_idx)`` over every occurrence, including repeats
+    inside one row, in the key's own order (numeric for int ids,
+    lexicographic for urls) -- and each row is reassembled from its
+    surviving lines in original order. A keyed row whose every line was
+    dropped (or whose text is NULL) comes out as ``''``.
 
-    Scale shape: document TEXT never rides an exchange. Pass 1 explodes
-    ``(h1, h2, doc, idx)`` triples (two independent 64-bit line-content
+    Key contract: ids are UNIQUE among keyed rows (run after MERGE for
+    urls); a repeated id raises ``ValueError`` -- one id's drop indexes
+    cannot be applied to two rows. Rows with a NULL (or, for string
+    keys, ``''``) id pass through untouched and compete for no line,
+    the null-key passthrough MERGE follows.
+
+    Scale shape: row text never rides an exchange. Pass 1 explodes
+    ``(h1, h2, key, idx)`` triples (two independent 64-bit line-content
     hashes -- a single 64-bit key has a real collision probability at
     10^12 lines, the pair is p ~ n^2/2^128) and hash-partitions them by
     line hash, so each fold bucket holds every occurrence of its lines
-    and emits only the LOSER coordinates (16 B per dropped line,
-    bounded by the duplicate count). Pass 2 co-partitions those drop
-    rows with the corpus by doc id and rebuilds each doc locally.
-    Folds are one-vectorized-call-per-bucket (~``_pairs_buckets``
-    groups), not per-line Python. Returns a Dataset ``(doc_id, text)``
-    with one row per input doc (a doc whose every line was dropped
-    keeps an empty string).
+    and emits only the LOSER coordinates (bounded by the duplicate
+    count). Pass 2 co-partitions those drop rows with the input by id
+    and rebuilds each row locally. Folds are one vectorized call per
+    bucket (~``_pairs_buckets`` groups), not per-line Python.
+
+    Returns a Dataset with every input column and one row per input
+    row. The rebuild is an Arrow fold, so user columns never go through
+    pandas (a pandas group would float64-upcast null-bearing int64
+    columns). Its types come from ``ds.schema()``, which is metadata
+    for a ``read_parquet`` or manifest-scan input: nothing executes.
     """
     num_buckets = _pairs_buckets(ds, num_buckets)
-    proj = ds.select_columns([id_col, text_col])
+    schema = ds.schema().base_schema
 
     def explode(t: pa.Table) -> pa.Table:
-        ids = t.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        texts = [x if isinstance(x, str) else "" for x in t.column(text_col).to_pylist()]
-        lines_per = [x.split("\n") for x in texts]
-        lens = np.array([len(ls) for ls in lines_per], np.int64)
-        flat = np.asarray([l for ls in lines_per for l in ls], dtype=object)
-        h1, h2 = line_hash_pair(flat)
-        doc = np.repeat(ids, lens)
-        idx = line_positions(lens)
-        return pa.table(
-            {
-                "h1": pa.array(h1), "h2": pa.array(h2),
-                "doc": pa.array(doc), "idx": pa.array(idx),
-            }
-        )
+        t = t.filter(pa.array(_keyed(t.column(id_col))))
+        lines = pc.split_pattern(pc.fill_null(t.column(text_col), ""), "\n")
+        lens = pc.list_value_length(lines).to_numpy(zero_copy_only=False).astype(np.int64)
+        flat = pc.list_flatten(lines).to_numpy(zero_copy_only=False)
+        # 1-based within-row positions: the SQL generate_series(1, len)
+        # convention the line-dedup oracles mirror
+        idx = np.arange(len(flat), dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens) + 1
+        return pa.table({
+            "h1": pa.array(pd.util.hash_array(flat).astype(np.uint64)),
+            "h2": pa.array(pd.util.hash_array(flat, hash_key=_LINE_HASH_KEY2).astype(np.uint64)),
+            "key": t.column(id_col).take(np.repeat(np.arange(len(t)), lens)),
+            "idx": pa.array(idx),
+        })
 
-    def losers(df: pd.DataFrame) -> pd.DataFrame:
-        o = np.lexsort(
-            (df["idx"].to_numpy(), df["doc"].to_numpy(),
-             df["h2"].to_numpy(), df["h1"].to_numpy())
-        )
-        h1 = df["h1"].to_numpy()[o]
-        h2 = df["h2"].to_numpy()[o]
-        first = np.ones(len(o), bool)
-        if len(o) > 1:
-            np.logical_or(h1[1:] != h1[:-1], h2[1:] != h2[:-1], out=first[1:])
-        return pd.DataFrame(
-            {
-                "doc": df["doc"].to_numpy()[o][~first],
-                "idx": df["idx"].to_numpy()[o][~first],
-            }
-        )
+    def losers(t: pa.Table) -> pa.Table:
+        # winner per distinct line = min (key, idx): ONE Arrow sort per
+        # bucket in the key's own order, no per-line Python
+        t = t.sort_by([("h1", "ascending"), ("h2", "ascending"),
+                       ("key", "ascending"), ("idx", "ascending")])
+        h1 = t.column("h1").to_numpy()
+        h2 = t.column("h2").to_numpy()
+        first = np.ones(len(t), bool)
+        np.logical_or(h1[1:] != h1[:-1], h2[1:] != h2[:-1], out=first[1:])
+        return t.filter(pa.array(~first)).select(["key", "idx"])
 
     # materialize the triples feeding the sort exchange: Ray's
     # sort-based groupby consumes a lazy upstream twice (sample + sort)
     # and would re-run the split+hash explode over every line
-    # (ARCHITECTURE lazy-double-execution rule; measured ~8% at 2M docs
-    # -- the triples are 40 B/line and spill-capable at scale)
+    # (ARCHITECTURE lazy-double-execution rule)
     drops = bucketed(
-        proj.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True).materialize(),
+        ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True).materialize(),
         "h1",
         losers,
         num_buckets=num_buckets,
-        batch_format="pandas",
+        batch_format="pyarrow",
     )
 
     def corpus_side(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc": t.column(id_col).cast(pa.int64()),
-                "idx": pa.nulls(len(t), pa.int64()),
-                "text": t.column(text_col).cast(pa.string()),
-                "__side": pa.array(np.zeros(len(t), np.int8)),
-            }
-        )
+        t = t.append_column("__dl_idx", pa.nulls(len(t), pa.int64()))
+        return t.append_column("__side", pa.array(np.zeros(len(t), np.int8)))
 
     def drop_side(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc": t.column("doc").cast(pa.int64()),
-                "idx": t.column("idx").cast(pa.int64()),
-                "text": pa.nulls(len(t), pa.string()),
-                "__side": pa.array(np.ones(len(t), np.int8)),
-            }
-        )
+        out = {f.name: pa.nulls(len(t), f.type) for f in schema}
+        out[id_col] = t.column("key").cast(schema.field(id_col).type)
+        return pa.table({**out, "__dl_idx": t.column("idx"),
+                         "__side": pa.array(np.ones(len(t), np.int8))})
 
-    def rebuild(df: pd.DataFrame) -> pd.DataFrame:
-        corp = df[df["__side"] == 0]
-        dr = df[df["__side"] == 1]
-        ids = corp["doc"].to_numpy().astype(np.int64)
-        texts = corp["text"].to_numpy(dtype=object)
-        # the union's corpus rows carry NULL idx, so pandas upcasts the
-        # column to float64 -- cast back (line indexes are far below
-        # 2^53, so the float round-trip is exact)
-        dropped: dict = {
-            doc: np.sort(g.to_numpy()).astype(np.int64)
-            for doc, g in dr.groupby("doc")["idx"]
-        }
-        # per-row Python only for docs that actually LOST a line
-        # (output-proportional); the untouched majority passes through
-        # as-is with zero per-doc work
-        if dropped:
-            touched = np.isin(ids, np.fromiter(dropped, np.int64, len(dropped)))
-            for i in np.flatnonzero(touched):
-                t = texts[i] if isinstance(texts[i], str) else ""
-                lines = t.split("\n")
+    def rebuild(t: pa.Table) -> pa.Table:
+        side = t.column("__side").to_numpy(zero_copy_only=False)
+        corp = t.filter(pa.array(side == 0)).drop_columns(["__side", "__dl_idx"])
+        drt = t.filter(pa.array(side == 1))
+        keys = corp.column(id_col)
+        keyed = _keyed(keys)
+        # keys co-locate by hash, so a duplicate is visible in its bucket
+        counts = pc.value_counts(keys.filter(pa.array(keyed)))
+        dup = counts.field("values").filter(pc.greater(counts.field("counts"), 1))
+        if len(dup):
+            raise ValueError(
+                f"line dedup requires unique {id_col!r} keys but {dup[0].as_py()!r} "
+                "appears more than once -- run MERGE first (NULL/'' keys pass "
+                "through and may repeat)"
+            )
+        # typed from the schema: a group whose text slice is all-null
+        # can arrive null-typed
+        text = corp.column(text_col).cast(schema.field(text_col).type).combine_chunks()
+        if len(drt):
+            drt = drt.sort_by([(id_col, "ascending"), ("__dl_idx", "ascending")])
+            runs = pc.value_counts(drt.column(id_col))
+            idxs = np.split(drt.column("__dl_idx").to_numpy(), np.cumsum(runs.field("counts"))[:-1])
+            dropped = dict(zip(runs.field("values").to_pylist(), idxs))
+            # per-row Python only for rows that actually LOST a line;
+            # the rest keep their text buffers untouched
+            touched = pc.is_in(keys, value_set=runs.field("values")).to_numpy(zero_copy_only=False)
+            rows = np.flatnonzero(touched)
+            rebuilt = []
+            for k, x in zip(keys.take(rows).to_pylist(), text.take(rows).to_pylist()):
+                lines = (x or "").split("\n")
                 keep = np.ones(len(lines), bool)
-                keep[dropped[ids[i]] - 1] = False
-                texts[i] = "\n".join([l for l, k in zip(lines, keep) if k])
-        texts = [t if isinstance(t, str) else "" for t in texts]
-        return pd.DataFrame({id_col: ids, text_col: texts})
+                keep[dropped[k] - 1] = False
+                rebuilt.append("\n".join([l for l, kp in zip(lines, keep) if kp]))
+            text = pc.replace_with_mask(text, pa.array(touched), pa.array(rebuilt, text.type))
+        # keyed rows come out with a STRING (NULL text was one '' line,
+        # the oracle's coalesce); passthrough rows keep their NULL
+        text = pc.if_else(pc.and_(pa.array(keyed), pc.is_null(text)), pa.scalar("", text.type), text)
+        return corp.set_column(corp.schema.get_field_index(text_col), text_col, text)
 
     # pin the (small, dup-bounded) drop rows too: the union feeds a
     # second sort exchange that would otherwise re-run the whole
     # pass-1 groupby chain on its sampling pass
-    dside = drops.map_batches(
-        drop_side, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
-    both = proj.map_batches(
-        corpus_side, batch_format="pyarrow", zero_copy_batch=True
-    ).union(dside)
-    return bucketed(both, "doc", rebuild, num_buckets=num_buckets, batch_format="pandas")
+    dside = drops.map_batches(drop_side, batch_format="pyarrow", zero_copy_batch=True).materialize()
+    both = ds.map_batches(corpus_side, batch_format="pyarrow", zero_copy_batch=True).union(dside)
+    return bucketed(both, id_col, rebuild, num_buckets=num_buckets, batch_format="pyarrow")

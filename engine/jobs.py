@@ -25,7 +25,6 @@ import ray.data
 from ray.data.dataset import MaterializedDataset
 
 from engine.config import EngineConfig
-from engine.exchange import bucketed
 from engine.manifest import (
     SMALL_TABLE_BYTES,
     FileEntry,
@@ -499,29 +498,16 @@ def dedup_lines(
     job_id: Optional[str] = None,
 ) -> dict:
     """Maintenance op: C4-style GLOBAL line dedup committed through the
-    snapshot lifecycle (full rewrite, like cluster). A line ('\\n'
-    split of ``text_col``) survives only in the row with the
-    lexicographically smallest ``(key, line_idx)`` among every
-    occurrence corpus-wide; each row's text is reassembled from its
-    surviving lines.
-
-    Partitioning assumptions (documented): keys are UNIQUE for the
-    deduped population -- run AFTER merge (the LWW merge leaves one row
-    per url); rows with NULL/'' keys pass through untouched, the same
-    null-key passthrough convention MERGE follows. Winner order is the
-    KEY's lexicographic order (SQL ``min(url)``), so the op has an
-    exact DuckDB mirror.
-
-    Scale shape (same as :func:`engine.dedup.dedup_lines_global`):
-    pass 1 exchanges only ``(h1, h2, key, idx)`` line triples and
-    emits loser coordinates; pass 2 is the rewrite itself -- a full
-    table pass that any rewrite op pays, co-partitioned by key hash so
-    each bucket rebuilds locally. Returns the commit summary.
+    snapshot lifecycle (full rewrite, like cluster). The pipeline is
+    :func:`engine.dedup.dedup_lines_global` over the table's scan,
+    keyed by ``key_col``: a line survives only in the row with the
+    lexicographically smallest ``(key, line_idx)``, rows with NULL/''
+    keys pass through untouched, and a repeated key raises
+    ``ValueError`` -- run AFTER merge (the LWW merge leaves one row per
+    url). The scan carries the manifest's schema, so the rebuild takes
+    its types from there. Returns the commit summary.
     """
-    import numpy as np
-    import pandas as pd
-
-    from engine.dedup import _pairs_buckets, line_hash_pair, line_positions
+    from engine.dedup import dedup_lines_global
 
     cfg = cfg if cfg is not None else EngineConfig()
     job_id = job_id or uuid.uuid4().hex[:8]
@@ -541,136 +527,8 @@ def dedup_lines(
     live = snap.files
     if not live:
         return {"snapshot_id": snap.snapshot_id, "files": 0, "rows": 0}
-    ds = table.scan()
-    num_buckets = _pairs_buckets(ds)
-
-    def explode(t: pa.Table) -> pa.Table:
-        keys = t.column(key_col).to_pylist()
-        texts = t.column(text_col).to_pylist()
-        ks, lines_all, lens = [], [], []
-        for k, x in zip(keys, texts):
-            if k is None or k == "":
-                continue  # passthrough rows contribute no lines
-            ls = (x if isinstance(x, str) else "").split("\n")
-            ks.append(k)
-            lines_all.extend(ls)
-            lens.append(len(ls))
-        lens = np.array(lens, np.int64)
-        flat = np.asarray(lines_all, dtype=object)
-        h1, h2 = line_hash_pair(flat)  # ONE hash-pair definition
-        key_rep = np.repeat(np.asarray(ks, dtype=object), lens)
-        idx = line_positions(lens)  # 1-based SQL convention, shared
-        return pa.table(
-            {"h1": pa.array(h1), "h2": pa.array(h2),
-             "key": pa.array(key_rep, pa.string()), "idx": pa.array(idx)}
-        )
-
-    def losers(df: pd.DataFrame) -> pd.DataFrame:
-        # winner per distinct line = min (key, idx); key order is the
-        # SQL min(url) the oracle mirrors. ONE vectorized sort per
-        # bucket (pandas C string sort), no per-line Python.
-        df = df.sort_values(["h1", "h2", "key", "idx"], kind="stable")
-        h1 = df["h1"].to_numpy()
-        h2 = df["h2"].to_numpy()
-        first = np.ones(len(df), bool)
-        if len(df) > 1:
-            np.logical_or(h1[1:] != h1[:-1], h2[1:] != h2[:-1], out=first[1:])
-        return df.loc[~first, ["key", "idx"]]
-
-    drops = bucketed(
-        # lazy sort upstream executes twice otherwise
-        ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True).materialize(),
-        "h1",
-        losers,
-        num_buckets=num_buckets,
-        batch_format="pandas",
-    )
-
-    def corpus_side(t: pa.Table) -> pa.Table:
-        t = t.append_column("__dl_idx", pa.nulls(len(t), pa.int64()))
-        return t.append_column("__side", pa.array(np.zeros(len(t), np.int8)))
-
-    def drop_side(t: pa.Table) -> pa.Table:
-        out = {name: pa.nulls(len(t), typ) for name, typ in zip(vis_schema.names, vis_schema.types)}
-        out[key_col] = t.column("key").cast(vis_schema.field(key_col).type)
-        return pa.table(
-            {**out,
-             "__dl_idx": t.column("idx").cast(pa.int64()),
-             "__side": pa.array(np.ones(len(t), np.int8))}
-        )
-
-    def rebuild(t: pa.Table) -> pa.Table:
-        # ARROW fold, deliberately: the union's drop-side rows are
-        # all-null in every non-key column, and a pandas group would
-        # float64-upcast null-bearing int64 columns -- silently
-        # corrupting values past 2^53 on the rewrite (the CLAUDE.md
-        # 2^53 hazard class; review finding). Arrow carries typed nulls
-        # losslessly, so user columns never leave Arrow here.
-        side = t.column("__side").to_numpy(zero_copy_only=False)
-        corp = t.filter(pa.array(side == 0)).drop_columns(["__side", "__dl_idx"])
-        drt = t.filter(pa.array(side == 1))
-        keys = corp.column(key_col).to_numpy(zero_copy_only=False)
-        texts = corp.column(text_col).to_pylist()
-        ks = pd.Series(keys)
-        keyed = (ks.notna() & (ks != "")).to_numpy()
-        # documented precondition, validated LOUDLY: keys co-locate by
-        # hash, so duplicates are visible inside their bucket. Applying
-        # one key's drop indexes to two different rows would delete the
-        # wrong lines (or crash) -- refuse instead (review finding).
-        if keyed.any():
-            dup = ks[keyed].duplicated()
-            if dup.any():
-                k = ks[keyed][dup].iloc[0]
-                raise ValueError(
-                    f"dedup_lines requires unique {key_col!r} keys but "
-                    f"{k!r} appears more than once -- run MERGE first "
-                    "(NULL/'' keys pass through and may repeat)"
-                )
-        if len(drt):
-            dk = drt.column(key_col).to_numpy(zero_copy_only=False)
-            di = drt.column("__dl_idx").to_numpy(zero_copy_only=False).astype(np.int64)
-            order = np.argsort(dk, kind="stable")
-            dk, di = dk[order], di[order]
-            starts = np.ones(len(dk), bool)
-            starts[1:] = dk[1:] != dk[:-1]
-            s_idx = np.flatnonzero(starts)
-            dropped = {
-                dk[s]: np.sort(di[s:e])
-                for s, e in zip(s_idx, np.append(s_idx[1:], len(dk)))
-            }
-            touched = np.flatnonzero(ks.isin(dropped.keys()).to_numpy())
-            for i in touched:
-                x = texts[i] if isinstance(texts[i], str) else ""
-                lines = x.split("\n")
-                keep = np.ones(len(lines), bool)
-                keep[dropped[keys[i]] - 1] = False
-                texts[i] = "\n".join([l for l, k in zip(lines, keep) if k])
-        # keyed rows always come out with a (possibly empty) STRING --
-        # their lines went through the dedup (NULL text = one '' line),
-        # matching the oracle's coalesce. Passthrough rows keep NULL.
-        # Non-str nulls (None / nan, depending on the block's transit
-        # format) normalize through the isinstance check.
-        texts = [
-            (x if isinstance(x, str) else ("" if k else None))
-            for x, k in zip(texts, keyed)
-        ]
-        # type from the MANIFEST schema, not the group block: a group
-        # whose text slice is all-null can arrive null-TYPED, and
-        # pa.array(strings, type=null) raises "Invalid null value"
-        ti = corp.schema.get_field_index(text_col)
-        return corp.set_column(
-            ti, text_col, pa.array(texts, vis_schema.field(text_col).type)
-        )
-
-    mschema = snap.arrow_schema()
-    vis_schema = pa.schema([f for f in mschema if not f.name.startswith("__")])
-    both = ds.map_batches(
-        corpus_side, batch_format="pyarrow", zero_copy_batch=True
-    ).union(
-        drops.map_batches(drop_side, batch_format="pyarrow", zero_copy_batch=True)
-        .materialize()
-    )
-    out = bucketed(both, key_col, rebuild, num_buckets=num_buckets, batch_format="pyarrow")
+    vis_schema = pa.schema([f for f in snap.arrow_schema() if not f.name.startswith("__")])
+    out = dedup_lines_global(table.scan(), text_col=text_col, id_col=key_col)
     # safety net: align output blocks to the manifest's visible schema
     # (the Arrow fold preserves types by construction; this pins it)
     out = out.map_batches(

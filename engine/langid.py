@@ -6,8 +6,8 @@ Script detection handles the non-Latin cases (CJK, Cyrillic, Arabic,
 kana); Latin-script languages are scored by function-word hit rate.
 
 Output: ``lang_pred`` (ISO-ish code or 'und') + ``lang_conf`` in [0,1].
-This is an actor-pool stage: profiles and regexes are built once per
-actor (reference pattern T3, ``security.py:11-26``).
+Profiles and regexes are built once per worker process and cached
+(reference pattern T3, ``security.py:11-26``).
 """
 
 from __future__ import annotations
@@ -269,7 +269,7 @@ def _fallback_langid():
 
 
 class LangId:
-    """map_batches callable class: one profile build per actor."""
+    """Batch callable: one profile build per worker process (``_PROC_CACHE``)."""
 
     def __init__(self, text_col: str = "text"):
         self.text_col = text_col
@@ -317,17 +317,8 @@ def _langid_fn(batch: pd.DataFrame, text_col: str = "text") -> pd.DataFrame:
     return li(batch)
 
 
-def lang_id(ds, text_col: str = "text", concurrency=None, batch_size: int = 4096):
-    """concurrency=None -> elastic tasks with per-process cached
-    profiles; an int/tuple -> fixed actor pool."""
-    if concurrency is None:
-        return ds.map_batches(
-            _langid_fn, batch_format="pandas", fn_kwargs={"text_col": text_col}, batch_size=batch_size
-        )
+def lang_id(ds, text_col: str = "text", batch_size: int = 4096):
+    """Elastic tasks with per-process cached profiles."""
     return ds.map_batches(
-        LangId,
-        batch_format="pandas",
-        fn_constructor_kwargs={"text_col": text_col},
-        concurrency=concurrency,
-        batch_size=batch_size,
+        _langid_fn, batch_format="pandas", fn_kwargs={"text_col": text_col}, batch_size=batch_size
     )

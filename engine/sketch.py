@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-import pyarrow as pa
 
 
 class HyperLogLog:
@@ -77,20 +76,3 @@ class HyperLogLog:
         h = cls(p)
         h.registers = np.frombuffer(b, dtype=np.uint8).copy()
         return h
-
-
-def approx_distinct(ds, col: str, p: int = 12) -> float:
-    """Distributed distinct-count estimate: one serialized sketch per
-    batch -> driver merge. Rows shuffled: O(batches), each 2^p bytes."""
-
-    def sketch_batch(t: pa.Table) -> pa.Table:
-        h = HyperLogLog(p)
-        h.add_strings(t.column(col).to_pylist())
-        return pa.table({"sketch": pa.array([h.to_bytes()], type=pa.binary())})
-
-    merged = HyperLogLog(p)
-    for row in ds.map_batches(
-        sketch_batch, batch_format="pyarrow", zero_copy_batch=True
-    ).iter_rows():
-        merged = merged.merge(HyperLogLog.from_bytes(row["sketch"], p))
-    return merged.estimate()

@@ -7,9 +7,8 @@ A partition key like ``lang`` is pathologically skewed on web data
 aggregation, per-key windowing) that maps one key to one task turns the
 dominant key into a straggler. The engine's pattern:
 
-1. :func:`detect_heavy_keys` -- key -> row count, either *free* from
-   manifest per-file stats (files record ``partition`` labels and row
-   counts) or via a cheap projected ``groupby().count()``;
+1. :func:`detect_heavy_keys` -- key -> row count via a cheap projected
+   ``groupby().count()``;
 2. :func:`add_salt` -- heavy keys get ``__salt = hash(row) % k`` so the
    downstream ``groupby([key, "__salt"])`` splits them into k
    sub-partitions; light keys keep ``__salt = 0``;
@@ -36,16 +35,6 @@ def detect_heavy_keys(ds, col: str, threshold_rows: int) -> dict:
     counts = ds.select_columns([col]).groupby(col).count().to_pandas()
     heavy = counts[counts["count()"] > threshold_rows]
     return dict(zip(heavy[col], heavy["count()"]))
-
-
-def heavy_keys_from_manifest(table, threshold_rows: int) -> dict:
-    """Zero-cost variant: per-partition row counts straight from the
-    manifest file entries (A6 stats reuse)."""
-    agg: dict = {}
-    for fe in table.live_files():
-        if fe.partition is not None:
-            agg[fe.partition] = agg.get(fe.partition, 0) + fe.rows
-    return {k: v for k, v in agg.items() if v > threshold_rows}
 
 
 def add_salt(ds, col: str, heavy: dict, salt_buckets: int = 8):

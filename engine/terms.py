@@ -139,20 +139,6 @@ def top_terms_per_lang(ds, k: int = 5, text_col: str = "text", lang_col: str = "
     return grouped_topk(counts, lang_col, "n", k, tie_cols=("term",))
 
 
-def doc_frequency(ds, text_col: str = "text", lang_col: str = "lang"):
-    """Exact document frequency per term (number of docs containing the
-    term at least once, stopwords excluded): the per-lang df partials
-    sum across langs (each doc has one lang value)."""
-    agg = _partials(ds, text_col, lang_col).groupby("term").sum("df")
-    return agg.map_batches(
-        lambda t: pa.table(
-            {"term": t.column("term"), "df": t.column("sum(df)").cast(pa.int64())}
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-
-
 def tfidf_top_terms(
     ds, k: int = 5, text_col: str = "text", lang_col: str = "lang"
 ):

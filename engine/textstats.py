@@ -268,7 +268,7 @@ def _byte_counts(b: np.ndarray, off: np.ndarray):
 
 
 class TextStats:
-    """Actor-pool stage: regexes compiled once per actor (T3 pattern)."""
+    """Batch callable: regexes compiled once per worker process (T3 pattern)."""
 
     def __init__(self, text_col: str = "text"):
         self.text_col = text_col
@@ -376,22 +376,12 @@ def _stats_fn(batch: pd.DataFrame, text_col: str = "text") -> pd.DataFrame:
     return st(batch)
 
 
-def text_stats(ds, text_col: str = "text", concurrency=None, batch_size: int = 4096):
-    """concurrency=None -> elastic stateless tasks with per-process
-    cached state; an int/tuple -> a fixed actor pool (use when setup is
-    genuinely heavy, e.g. model loads)."""
-    if concurrency is None:
-        return ds.map_batches(
-            _stats_fn,
-            batch_format="pandas",
-            fn_kwargs={"text_col": text_col},
-            batch_size=batch_size,
-        )
+def text_stats(ds, text_col: str = "text", batch_size: int = 4096):
+    """Elastic stateless tasks with per-process cached state."""
     return ds.map_batches(
-        TextStats,
+        _stats_fn,
         batch_format="pandas",
-        fn_constructor_kwargs={"text_col": text_col},
-        concurrency=concurrency,
+        fn_kwargs={"text_col": text_col},
         batch_size=batch_size,
     )
 

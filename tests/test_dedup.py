@@ -780,6 +780,48 @@ def test_dedup_lines_global_semantics(ray_session):
     assert out.text.tolist() == ["a\nb\nc", "d", "x", "", ""]
 
 
+def test_dedup_lines_global_null_id_passes_through(ray_session):
+    # a NULL doc_id row keeps its text and wins no line: 'b' stays with
+    # doc 1 and 'c' with doc 3
+    from engine.dedup import dedup_lines_global
+
+    t = pa.table({
+        "doc_id": pa.array([1, None, 3], pa.int64()),
+        "text": pa.array(["a\nb", "b\nc", "c\nd"], pa.string()),
+    })
+    out = pa.concat_tables(
+        ray.get(dedup_lines_global(ray.data.from_arrow(t)).to_arrow_refs())
+    )
+    got = dict(zip(out.column("doc_id").to_pylist(), out.column("text").to_pylist()))
+    assert got == {1: "a\nb", None: "b\nc", 3: "c\nd"}
+    assert out.schema.field("doc_id").type == pa.int64()
+
+
+def test_dedup_lines_global_string_ids_lexicographic(ray_session):
+    # string ids compete in lexicographic order: "a10" < "a9"
+    from engine.dedup import dedup_lines_global
+
+    t = pa.table({
+        "doc_id": pa.array(["a9", "a10", "b"], pa.string()),
+        "text": pa.array(["x\ny", "y\nz", "z\nx"], pa.string()),
+    })
+    out = dedup_lines_global(ray.data.from_arrow(t)).to_pandas()
+    got = dict(zip(out.doc_id, out.text))
+    assert got == {"a10": "y\nz", "a9": "x", "b": ""}
+
+
+def test_dedup_lines_global_refuses_duplicate_ids(ray_session):
+    # one id's drop indexes cannot be applied to two rows
+    from engine.dedup import dedup_lines_global
+
+    t = pa.table({
+        "doc_id": pa.array([7, 7], pa.int64()),
+        "text": pa.array(["a\nb", "b"], pa.string()),
+    })
+    with pytest.raises(ValueError, match="unique 'doc_id' keys"):
+        dedup_lines_global(ray.data.from_arrow(t)).materialize()
+
+
 def test_dedup_lines_global_duckdb_parity_multiline(ray_session, tmp_path):
     # the driver corpus has no newlines, so pin the multi-line
     # reassembly against the SQL oracle on a random multi-line fixture
@@ -794,8 +836,10 @@ def test_dedup_lines_global_duckdb_parity_multiline(ray_session, tmp_path):
     for i in range(120):
         k = int(rng.integers(0, 7))
         texts.append("\n".join(rng.choice(lines_pool, k)) if k else "")
+    # a NULL-id row that repeats other docs' lines: it passes through
+    texts.append("\n".join(lines_pool[:5]))
     tbl = pa.table({
-        "doc_id": pa.array(range(120), pa.int64()),
+        "doc_id": pa.array(list(range(120)) + [None], pa.int64()),
         "text": pa.array(texts, pa.string()),
     })
     pq.write_table(tbl, tmp_path / "documents.parquet")
@@ -811,6 +855,7 @@ def test_dedup_lines_global_duckdb_parity_multiline(ray_session, tmp_path):
     g = got.sort_values("doc_id").reset_index(drop=True)
     w = want.sort_values("doc_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(g, w, check_dtype=False)
+    assert w.text.iloc[-1] == texts[-1]  # the NULL-id row, untouched
 
 
 def test_pairwise_jaccard_hypothesis_parity():

@@ -126,6 +126,10 @@ PARITY_QUERIES = [
     "top_dup_urls",
     "pruned_scan",
     "html_extract",
+    # C4 line dedup: the operator keyed by doc_id, and the table job
+    # keyed by url (NULL/'' urls pass through)
+    "line_dedup",
+    "line_dedup_pages",
 ]
 
 

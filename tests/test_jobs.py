@@ -806,6 +806,40 @@ def test_dedup_lines_job_duckdb_parity_fuzz(tmp_table_root, ray_session):
     pd.testing.assert_frame_equal(g, w, check_dtype=False)
 
 
+def test_dedup_lines_operator_equals_job_on_merged_pages(tmp_table_root, ray_session):
+    # one pipeline: the line_dedup operator over the merged table's
+    # (url, text) projection gives every non-empty url the same text as
+    # the dedup-lines job's rewrite
+    from engine.dedup import dedup_lines_global
+    from engine.jobs import dedup_lines, ingest, merge_into
+
+    rng = np.random.default_rng(5)
+    pool = [f"ln{i}" for i in range(25)] + ["", " "]
+    n = 160
+    urls = [None if i % 29 == 0 else ("" if i % 31 == 0 else f"u/{i % 90:03d}")
+            for i in range(n)]
+    texts = [None if i % 17 == 0 else "\n".join(rng.choice(pool, int(rng.integers(0, 6))))
+             for i in range(n)]
+    t = pa.table({
+        "url": pa.array(urls, pa.string()),
+        "warc_ts": pa.array(np.arange(n), pa.timestamp("us")),
+        "text": pa.array(texts, pa.string()),
+        "lang": pa.array(["en"] * n, pa.string()),
+    })
+    tab = Table.create(tmp_table_root)
+    ingest(tab, ray.data.from_arrow(t), CFG, sanitize_cols=())
+    merge_into(tab, CFG)  # urls repeat in the source: merge makes them unique
+    op = dedup_lines_global(tab.scan(columns=["url", "text"]), id_col="url").to_pandas()
+    dedup_lines(tab, CFG)
+    job = tab.scan(columns=["url", "text"]).to_pandas()
+
+    def keyed(df):
+        return {u: x for u, x in zip(df.url, df.text) if isinstance(u, str) and u}
+
+    assert len(keyed(job)) == len({u for u in urls if u})
+    assert keyed(op) == keyed(job)
+
+
 def test_dedup_lines_refuses_duplicate_keys(tmp_table_root, ray_session):
     # review finding: applying one key's drop indexes to two rows would
     # delete the wrong lines -- the precondition is validated loudly

@@ -52,41 +52,6 @@ def test_detect_heavy_and_salt(ray_session):
     assert (fr == 0).all()  # light keys unsalted
 
 
-def test_heavy_keys_from_manifest(tmp_path):
-    """Zero-cost skew detection: per-partition row counts come straight
-    from manifest file entries, no data scan (A6 stats reuse)."""
-    from engine.manifest import FileEntry, Table
-    from engine.skew import heavy_keys_from_manifest
-
-    t = Table.create(str(tmp_path / "tbl"))
-    t.commit(
-        "ingest",
-        [
-            FileEntry(path="a.parquet", rows=600, bytes=1, partition="lang=en"),
-            FileEntry(path="b.parquet", rows=400, bytes=1, partition="lang=en"),
-            FileEntry(path="c.parquet", rows=150, bytes=1, partition="lang=zh"),
-            FileEntry(path="d.parquet", rows=20, bytes=1, partition="lang=fr"),
-            FileEntry(path="e.parquet", rows=999, bytes=1),  # unlabeled: skipped
-        ],
-    )
-    heavy = heavy_keys_from_manifest(t, threshold_rows=100)
-    # counts aggregate ACROSS files of the same partition label
-    assert heavy == {"lang=en": 1000, "lang=zh": 150}
-
-
-def test_ratio_distributed_partials(ray_session):
-    """A3 final fold over per-batch (matched, total) partial rows,
-    including the all-empty denominator guard."""
-    from engine.aggregates import ratio_distributed
-
-    parts = ray.data.from_arrow(
-        pa.table({"matched": [3, 0, 5], "total": [10, 5, 5]})
-    )
-    assert ratio_distributed(parts, "matched", "total") == 8 / 20
-    empty = ray.data.from_arrow(pa.table({"matched": [0], "total": [0]}))
-    assert ratio_distributed(empty, "matched", "total") == 0.0
-
-
 def test_salted_group_count_equals_plain(ray_session):
     langs = ["en"] * 300 + ["zh"] * 80 + ["fr"] * 7
     ds = ray.data.from_arrow(pa.table({"lang": langs}))
@@ -186,14 +151,6 @@ def test_hll_accuracy_and_merge():
     # determinism + serialization round-trip
     again = HyperLogLog.from_bytes(merged.to_bytes())
     assert again.estimate() == est
-
-
-def test_approx_distinct_stage(ray_session, sf_dir):
-    from engine.sketch import approx_distinct
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"]).repartition(4)
-    est = approx_distinct(ds, "doc_id")
-    assert abs(est - 500) / 500 < 0.1
 
 
 def test_bloom_canonicalization_no_false_negatives(ray_session):
