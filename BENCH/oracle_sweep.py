@@ -3,7 +3,8 @@ its ``oracle_sql()`` in DuckDB at a given sf dir and report per-query
 rows/schema/value agreement (the driver's CORRECTNESS gate, locally).
 
 Usage: python BENCH/oracle_sweep.py [sf_dir] [query ...]
-Owns its Ray session (scripts only -- see CLAUDE.md).
+Owns its Ray session (scripts only -- see CLAUDE.md), sized to the
+host's CPU count; ``RAY_GRAFT_CPUS`` overrides it.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def main() -> int:
     if not ray.is_initialized():
         ray.init(
             address="local",
-            num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+            num_cpus=int(os.environ.get("RAY_GRAFT_CPUS") or os.cpu_count() or 1),
             include_dashboard=False,
         )
     import __ray_entry__ as entry

@@ -31,7 +31,7 @@ Subsystems (see SURVEY.md section 7.0):
 - :mod:`engine.textstats`  -- token counts, quality scores
 - :mod:`engine.langid`     -- n-gram/stopword language id heuristic
 - :mod:`engine.fingerprint`-- rolling-hash document fingerprints
-- :mod:`engine.multimodal` -- binary-column (image/audio) stage plumbing
+- :mod:`engine.multimodal` -- html tag strip over the binary ``html`` column
 """
 
 from engine.config import EngineConfig

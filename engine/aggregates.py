@@ -101,37 +101,13 @@ def _count_partial(col: str):
     return partial
 
 
-def group_count_ds(ds, col: str, out_col: str = "n"):
-    """Grouped ``count(*)`` tolerating NULL keys, returned as a
-    STREAMING Dataset (col, out_col) with the NULL key restored
-    Arrow-side -- the scale path when the key cardinality is too high
-    to land on the driver (e.g. per-url counts). Arrow pre-aggregation
-    per batch (combiner: rows shuffled = O(keys x batches))."""
-    parts = ds.map_batches(
-        _count_partial(col), batch_format="pyarrow", zero_copy_batch=True
-    )
-    agg = parts.groupby([col, "__isnull"]).sum("count_all")
-
-    def restore(t: pa.Table) -> pa.Table:
-        keyed = pc.if_else(
-            pc.equal(t.column("__isnull"), 1),
-            pa.scalar(None, type=t.schema.field(col).type),
-            t.column(col),
-        )
-        return pa.table(
-            {col: keyed, out_col: t.column("sum(count_all)").cast(pa.int64())}
-        )
-
-    return agg.map_batches(restore, batch_format="pyarrow", zero_copy_batch=True)
-
-
 def group_count_null_safe(ds, col: str, out_col: str = "n") -> pd.DataFrame:
     """Driver-side grouped count for low-cardinality keys (langs, event
-    types): one pandas frame. Deliberately does NOT reuse
-    :func:`group_count_ds`'s Arrow-side NULL restore -- a NULL-bearing
-    int64 key column would float through the driver ``to_pandas``
-    (2^53 corruption); the composite rides to the driver and
-    ``restore_null_key`` restores through object dtype instead."""
+    types): one pandas frame. The NULL key is NOT restored Arrow-side
+    before the fetch -- a NULL-bearing int64 key column would float
+    through the driver ``to_pandas`` (2^53 corruption); the composite
+    rides to the driver and ``restore_null_key`` restores through
+    object dtype instead."""
     parts = ds.map_batches(
         _count_partial(col), batch_format="pyarrow", zero_copy_batch=True
     )

@@ -9,7 +9,7 @@ cluster; only the numbers change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -60,5 +60,3 @@ class EngineConfig:
     #: DATA, not the cluster, so the same job runs the identical
     #: dataflow at N and 4N nodes (the north_rule scaling measurement).
     shuffle_blocks: int | None = None
-
-    extra: dict = field(default_factory=dict)

@@ -249,21 +249,18 @@ def content_hash_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
     return batch.append_column("__chash", pa.array(h, type=pa.uint64()))
 
 
-def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id", hashed=None):
+def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id"):
     """Keep the min-id row per distinct content hash: hash-partition
     (groupby shuffle of the small projected columns) + per-group first.
 
     Shuffles only ``(hash, id)`` -- survivors are selected by a
     broadcast-able id set; callers filter the full dataset with it.
-    ``hashed``: optional pre-built ``content_hash_batch`` output (lets
-    :func:`exact_dedup_auto` hash the corpus once, not twice).
     Returns ``(survivor_id_dataset, filtered_dataset)``.
     """
-    if hashed is None:
-        hashed = ds.map_batches(
-            content_hash_batch, batch_format="pyarrow", zero_copy_batch=True,
-            fn_kwargs={"text_col": text_col},
-        )
+    hashed = ds.map_batches(
+        content_hash_batch, batch_format="pyarrow", zero_copy_batch=True,
+        fn_kwargs={"text_col": text_col},
+    )
     winners = (
         hashed.select_columns(["__chash", id_col])
         .groupby("__chash")
@@ -287,82 +284,6 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id", hashed=None)
         return t.filter(pa.array(np.isin(ids, keep)))
 
     return winners, ds.map_batches(keep_only, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def exact_dedup_shuffle(ds, text_col: str = "text", id_col: str = "doc_id", num_buckets: int = 64, hashed=None):
-    """Scale-path exact dedup: hash-partition FULL rows by content hash
-    and keep the min-id row per hash inside a vectorized bucket fold --
-    no driver-side winner set (use when the corpus id set itself is too
-    large to broadcast; costs one full-row shuffle, like MERGE)."""
-    if hashed is None:
-        hashed = ds.map_batches(
-            content_hash_batch, batch_format="pyarrow", zero_copy_batch=True,
-            fn_kwargs={"text_col": text_col},
-        )
-
-    def fold(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(id_col, kind="stable")
-        return df.drop_duplicates(subset="__chash", keep="first").drop(columns="__chash")
-
-    return bucketed(hashed, "__chash", fold, num_buckets=num_buckets, batch_format="pandas")
-
-
-def _approx_distinct_hashes(hashed, col: str = "__chash", p: int = 12) -> float:
-    """HLL estimate of distinct content hashes: one 2^p-byte sketch per
-    batch, driver merges sketches only (no ids, no rows)."""
-    from engine.sketch import HyperLogLog
-
-    def sketch_batch(t: pa.Table) -> pa.Table:
-        h = HyperLogLog(p)
-        arr = t.column(col).to_numpy(zero_copy_only=False).astype(np.uint64)
-        if len(arr):
-            h.add_hashes(arr)
-        return pa.table({"sketch": pa.array([h.to_bytes()], type=pa.binary())})
-
-    merged = HyperLogLog(p)
-    for row in hashed.map_batches(
-        sketch_batch, batch_format="pyarrow", zero_copy_batch=True
-    ).iter_rows():
-        merged = merged.merge(HyperLogLog.from_bytes(row["sketch"], p))
-    return merged.estimate()
-
-
-def exact_dedup_auto(
-    ds,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    broadcast_limit: int = 2_000_000,
-    num_buckets: int = 64,
-):
-    """Exact dedup with automatic path selection (round-1 VERDICT #5).
-
-    A cheap HLL pass estimates the distinct-hash count; at or below
-    ``broadcast_limit`` the winner-id set fits the driver comfortably
-    and the broadcast filter (no full-row shuffle) wins, above it the
-    hash-partitioned shuffle fold runs with zero driver state. Returns
-    ``(filtered_dataset, path)`` with path in {"broadcast", "shuffle"}.
-    """
-    # hash once into a TINY pinned (hash, id) projection (~16 B/row):
-    # the HLL pass and the broadcast path both read it, so the corpus
-    # is not re-hashed for the common small-cardinality case. Only the
-    # large-corpus shuffle branch re-hashes -- there a full-row
-    # materialization would cost more than the extra hash pass.
-    proj = (
-        ds.map_batches(
-            content_hash_batch, batch_format="pyarrow", zero_copy_batch=True,
-            fn_kwargs={"text_col": text_col},
-        )
-        .select_columns(["__chash", id_col])
-        .materialize()
-    )
-    est = _approx_distinct_hashes(proj)
-    if est <= broadcast_limit:
-        _, filtered = exact_dedup(ds, text_col=text_col, id_col=id_col, hashed=proj)
-        return filtered, "broadcast"
-    return (
-        exact_dedup_shuffle(ds, text_col=text_col, id_col=id_col, num_buckets=num_buckets),
-        "shuffle",
-    )
 
 
 # ---------------------------------------------------------------------------

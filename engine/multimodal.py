@@ -1,28 +1,10 @@
-"""Multimodal (binary-column) stage plumbing.
+"""HTML extraction over the pages ``html`` binary column.
 
-Image/audio/video payloads are opaque ``binary`` columns with typed
-metadata columns beside them. The Ray-side plumbing -- schema, actor
-signatures, batch sizing, output layout -- is real and tested.
-
-Codecs: the container has no image/audio libraries, but the
-UNCOMPRESSED public formats need none -- the decoders below are pure
-numpy/struct implementations of their published layouts:
-
-- :func:`decode_ppm`  binary PPM (P6), the netpbm spec
-- :func:`decode_bmp`  uncompressed BI_RGB 24/32-bit Windows bitmaps
-- :func:`decode_wav`  RIFF/WAVE PCM (8/16-bit) headers + frames
-- :func:`parse_y4m`   YUV4MPEG2 uncompressed video frame index
-- :func:`resize_nearest`  integer nearest-neighbor resize (striding)
-
-Compressed formats (JPEG/PNG/MP3/H.264...) remain stubbed behind
-``NotImplementedError`` with a deterministic fake mode so pipelines are
-testable end-to-end.
-
-Real (non-stub) member: :func:`html_to_text` -- regex-based tag strip +
-entity decode over the pages ``html`` column, the engine's version of
-the reference's decode step (``file_service.py:36-39``), with
-invalid-UTF8 rows quarantined into a dead-letter column instead of
-aborting the job.
+:func:`html_to_text_batch` is a regex tag strip plus entity decode, the
+engine's version of the reference's decode step
+(``file_service.py:36-39``). Invalid-UTF8 rows are quarantined into a
+``decode_error`` dead-letter column instead of aborting the job
+(SURVEY M6).
 
 Batch-size guidance: binary payloads dominate block size -- callers
 should pass small ``batch_size`` (e.g. 64-256 rows) and rely on
@@ -32,171 +14,11 @@ worker heap.
 
 from __future__ import annotations
 
-import hashlib
 import html as _htmllib
 import re
-import struct
 
-import numpy as np
 import pyarrow as pa
 
-
-# ---------------------------------------------------------------------------
-# pure-numpy codecs for uncompressed public formats
-# ---------------------------------------------------------------------------
-
-def decode_ppm(raw: bytes) -> np.ndarray:
-    """Binary PPM (P6) -> (h, w, 3) uint8 array. Netpbm header: ``P6``,
-    whitespace/comment-separated width, height, maxval, ONE whitespace
-    byte, then ``h*w*3`` raw samples (maxval <= 255 supported)."""
-    if not raw.startswith(b"P6"):
-        raise ValueError("not a P6 PPM")
-    pos = 2
-    fields = []
-    while len(fields) < 3:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if raw[pos : pos + 1] == b"#":  # comment to end of line
-            while pos < len(raw) and raw[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(int(raw[start:pos]))
-    pos += 1  # the single whitespace after maxval
-    w, h, maxval = fields
-    if maxval > 255:
-        raise ValueError("16-bit PPM not supported")
-    data = np.frombuffer(raw, dtype=np.uint8, count=h * w * 3, offset=pos)
-    return data.reshape(h, w, 3)
-
-
-def decode_bmp(raw: bytes) -> np.ndarray:
-    """Uncompressed BI_RGB 24/32-bit BMP -> (h, w, 3) uint8 (RGB).
-    Rows are 4-byte aligned and stored bottom-up (negative height =
-    top-down), per the published BITMAPINFOHEADER layout."""
-    if not raw.startswith(b"BM"):
-        raise ValueError("not a BMP")
-    data_offset = struct.unpack_from("<I", raw, 10)[0]
-    header_size = struct.unpack_from("<I", raw, 14)[0]
-    if header_size < 40:
-        raise ValueError("BITMAPCOREHEADER not supported")
-    w, h = struct.unpack_from("<ii", raw, 18)
-    bpp = struct.unpack_from("<H", raw, 28)[0]
-    compression = struct.unpack_from("<I", raw, 30)[0]
-    if compression != 0 or bpp not in (24, 32):
-        raise ValueError(f"unsupported BMP (bpp={bpp}, compression={compression})")
-    top_down = h < 0
-    h = abs(h)
-    nbytes = bpp // 8
-    stride = (w * nbytes + 3) & ~3
-    rows = np.frombuffer(raw, dtype=np.uint8, count=stride * h, offset=data_offset)
-    rows = rows.reshape(h, stride)[:, : w * nbytes].reshape(h, w, nbytes)
-    if not top_down:
-        rows = rows[::-1]
-    return rows[:, :, 2::-1]  # BGR(A) -> RGB
-
-
-def decode_wav(raw: bytes) -> tuple:
-    """RIFF/WAVE PCM -> ``(sample_rate, n_frames, n_channels, samples)``
-    with samples as (n_frames, n_channels) float64 in [-1, 1].
-    Walks the chunk list (fmt / data may be preceded by LIST etc.);
-    PCM 8-bit unsigned and 16-bit signed supported."""
-    if raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
-        raise ValueError("not a RIFF/WAVE file")
-    pos = 12
-    fmt = None
-    data = None
-    while pos + 8 <= len(raw):
-        cid = raw[pos : pos + 4]
-        size = struct.unpack_from("<I", raw, pos + 4)[0]
-        body = raw[pos + 8 : pos + 8 + size]
-        if cid == b"fmt ":
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
-        elif cid == b"data":
-            data = body
-        pos += 8 + size + (size & 1)  # chunks are word-aligned
-    if fmt is None or data is None:
-        raise ValueError("missing fmt/data chunk")
-    audio_format, n_channels, sample_rate, _, _, bits = fmt
-    if audio_format != 1 or bits not in (8, 16):
-        raise ValueError(f"unsupported WAV (format={audio_format}, bits={bits})")
-    if n_channels == 0 or sample_rate == 0:
-        # corrupt fmt chunk: a bare ZeroDivisionError downstream names
-        # neither the file nor the field
-        raise ValueError(
-            f"corrupt WAV fmt chunk (channels={n_channels}, rate={sample_rate})"
-        )
-    if bits == 16:
-        samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
-    else:
-        samples = (np.frombuffer(data, dtype=np.uint8).astype(np.float64) - 128.0) / 128.0
-    n_frames = len(samples) // n_channels
-    return sample_rate, n_frames, n_channels, samples[: n_frames * n_channels].reshape(
-        n_frames, n_channels
-    )
-
-
-def resize_nearest(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Nearest-neighbor resize via integer index maps (pure numpy)."""
-    h, w = img.shape[:2]
-    yi = (np.arange(out_h) * h // out_h).clip(0, h - 1)
-    xi = (np.arange(out_w) * w // out_w).clip(0, w - 1)
-    return img[yi][:, xi]
-
-
-_Y4M_FRAME_BYTES = {"420": lambda w, h: w * h * 3 // 2, "420jpeg": lambda w, h: w * h * 3 // 2,
-                    "420mpeg2": lambda w, h: w * h * 3 // 2, "420paldv": lambda w, h: w * h * 3 // 2,
-                    "422": lambda w, h: w * h * 2, "444": lambda w, h: w * h * 3,
-                    "mono": lambda w, h: w * h}
-
-
-def parse_y4m(raw: bytes):
-    """YUV4MPEG2 (uncompressed) -> ``(width, height, fps, frame_offsets,
-    luma_bytes_per_frame)`` per the published mjpegtools stream layout:
-    one ``YUV4MPEG2 W.. H.. F<num>:<den> [C..]\\n`` header, then per
-    frame ``FRAME[params]\\n`` + raw planar YUV. Returns frame *offsets*
-    (of the luma plane) so callers can sample frames without touching
-    unsampled bytes."""
-    if not raw.startswith(b"YUV4MPEG2"):
-        raise ValueError("not a YUV4MPEG2 stream")
-    hdr_end = raw.index(b"\n")
-    w = h = None
-    fps = 0.0
-    colorspace = "420"
-    for tok in raw[9:hdr_end].split():
-        tag, val = tok[:1], tok[1:].decode("ascii")
-        if tag == b"W":
-            w = int(val)
-        elif tag == b"H":
-            h = int(val)
-        elif tag == b"F":
-            num, den = val.split(":")
-            fps = int(num) / int(den)
-        elif tag == b"C":
-            colorspace = val
-    if w is None or h is None:
-        raise ValueError("Y4M header missing W/H")
-    if colorspace not in _Y4M_FRAME_BYTES:
-        raise ValueError(f"unsupported Y4M colorspace C{colorspace}")
-    fbytes = _Y4M_FRAME_BYTES[colorspace](w, h)
-    offsets = []
-    pos = hdr_end + 1
-    n = len(raw)
-    while pos < n:
-        if raw[pos : pos + 5] != b"FRAME":
-            raise ValueError(f"bad FRAME marker at byte {pos}")
-        pos = raw.index(b"\n", pos) + 1
-        if pos + fbytes > n:
-            # a partial trailing frame is corruption, not a frame: callers
-            # sample raw[offset : offset+luma_n] OUTSIDE any try block, so
-            # emitting this offset would crash the actor instead of
-            # dead-lettering the row
-            raise ValueError(f"truncated frame at byte {pos} (need {fbytes} bytes)")
-        offsets.append(pos)
-        pos += fbytes
-    return w, h, fps, offsets, w * h
 
 _TAG_RE = re.compile(rb"<[^>]+>")
 _WS_RE = re.compile(r"\s+")
@@ -225,208 +47,6 @@ def html_to_text_batch(batch: pa.Table, html_col: str = "html", out_col: str = "
     return batch.append_column("decode_error", pa.array(errors, type=pa.string()))
 
 
-class ImageDecoder:
-    """Actor-pool stage for an image binary column.
-
-    ``__init__`` builds decoder state once per actor; ``__call__`` maps
-    a batch of binary payloads to fixed feature columns
-    ``(width, height, channels, feat_mean)``.
-
-    PPM (P6) and uncompressed BMP payloads decode FOR REAL (pure-numpy
-    codecs above); when ``resize_to`` is set each decoded image is
-    nearest-neighbor resized before the feature reduce. Compressed
-    formats (JPEG/PNG/...) raise NotImplementedError (no codec libs in
-    this container) unless fake=True, which produces deterministic
-    pseudo-decodes (seeded by a payload digest) so plumbing stays
-    testable with arbitrary payloads.
-    """
-
-    OUTPUT_FIELDS = [("width", pa.int32()), ("height", pa.int32()),
-                     ("channels", pa.int32()), ("feat_mean", pa.float64()),
-                     ("decode_error", pa.string())]
-
-    def __init__(self, image_col: str = "image", fake: bool = False, resize_to: tuple | None = None):
-        self.image_col = image_col
-        self.fake = fake
-        self.resize_to = resize_to
-        # real per-actor state: the magic->decoder dispatch table
-        self.decoders = ((b"P6", decode_ppm), (b"BM", decode_bmp))
-
-    def _decode_one(self, payload: bytes):
-        # dead-letter convention (same as html_to_text_batch): NULL and
-        # corrupt known-format payloads quarantine the ROW via
-        # decode_error; only a genuinely unsupported compressed format
-        # raises (the honest stub -- no codec libs in this container)
-        if payload is None:
-            return None, None, None, None, "null payload"
-        for magic, dec in self.decoders:
-            if payload.startswith(magic):
-                try:
-                    img = dec(payload)
-                    if self.resize_to:
-                        img = resize_nearest(img, *self.resize_to)
-                except (ValueError, struct.error) as e:
-                    # struct.error: a truncated header fails inside
-                    # struct.unpack_from, which does NOT subclass
-                    # ValueError -- quarantine, don't kill the actor
-                    return None, None, None, None, str(e)
-                h, w = img.shape[:2]
-                c = img.shape[2] if img.ndim == 3 else 1
-                return int(w), int(h), int(c), float(img.mean() / 255.0), None
-        if not self.fake:
-            raise NotImplementedError(
-                "compressed-image decoding requires a codec library not "
-                "present in this container (PPM/BMP decode is built in); "
-                "run with fake=True for plumbing tests"
-            )
-        digest = hashlib.blake2b(payload, digest_size=8).digest()
-        v = np.frombuffer(digest, dtype=np.uint16).astype(np.int64)
-        return (
-            int(16 + v[0] % 2048), int(16 + v[1] % 2048), int(1 + v[2] % 4),
-            float(v[3] % 256) / 255.0, None,
-        )
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        decoded = [self._decode_one(p) for p in batch.column(self.image_col).to_pylist()]
-        for i, (name, typ) in enumerate(self.OUTPUT_FIELDS):
-            batch = batch.append_column(name, pa.array([d[i] for d in decoded], type=typ))
-        return batch
-
-
-class AudioFrameSampler:
-    """Actor-pool stage for audio binary columns: emits
-    ``(n_frames, sample_rate, duration_s, rms)``.
-
-    PCM WAV payloads decode FOR REAL (:func:`decode_wav`), including an
-    RMS energy feature; compressed audio raises NotImplementedError
-    unless fake=True (deterministic pseudo-decode, rms null)."""
-
-    def __init__(self, audio_col: str = "audio", fake: bool = False):
-        self.audio_col = audio_col
-        self.fake = fake
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_frames, out_rate, out_dur, out_rms, out_err = [], [], [], [], []
-
-        def dead(msg):
-            out_frames.append(None)
-            out_rate.append(None)
-            out_dur.append(None)
-            out_rms.append(None)
-            out_err.append(msg)
-
-        for p in batch.column(self.audio_col).to_pylist():
-            if p is None:
-                dead("null payload")
-                continue
-            if p.startswith(b"RIFF"):
-                try:
-                    rate, frames, _, samples = decode_wav(p)
-                except (ValueError, struct.error) as e:
-                    # corrupt WAV: quarantine the row (struct.error is a
-                    # truncated fmt/chunk header, not a ValueError subclass)
-                    dead(str(e))
-                    continue
-                out_frames.append(frames)
-                out_rate.append(rate)
-                out_dur.append(frames / rate)
-                out_rms.append(float(np.sqrt((samples**2).mean())) if frames else 0.0)
-                out_err.append(None)
-                continue
-            if not self.fake:
-                raise NotImplementedError(
-                    "compressed-audio decode not available in this "
-                    "container (PCM WAV decode is built in)"
-                )
-            digest = hashlib.blake2b(p, digest_size=8).digest()
-            v = np.frombuffer(digest, dtype=np.uint32).astype(np.int64)
-            rate = [8000, 16000, 44100, 48000][int(v[0] % 4)]
-            frames = int(v[1] % 10_000_000)
-            out_frames.append(frames)
-            out_rate.append(rate)
-            out_dur.append(frames / rate)
-            out_rms.append(None)
-            out_err.append(None)
-        batch = batch.append_column("n_frames", pa.array(out_frames, type=pa.int64()))
-        batch = batch.append_column("sample_rate", pa.array(out_rate, type=pa.int32()))
-        batch = batch.append_column("duration_s", pa.array(out_dur, type=pa.float64()))
-        batch = batch.append_column("rms", pa.array(out_rms, type=pa.float64()))
-        return batch.append_column("decode_error", pa.array(out_err, type=pa.string()))
-
-
-class VideoFrameSampler:
-    """Actor-pool stage for video binary columns: frame sampling plan
-    ``(n_frames_total, sampled_frame_indices, fps)`` plus per-sampled-
-    frame luma means.
-
-    Uncompressed YUV4MPEG2 payloads decode FOR REAL (:func:`parse_y4m`
-    finds frame offsets without touching unsampled bytes; the luma
-    plane of each sampled frame is reduced to its mean). Compressed
-    containers (MP4/H.264/...) raise NotImplementedError unless
-    fake=True (deterministic sampling plan, null luma)."""
-
-    def __init__(self, video_col: str = "video", every_n: int = 30, fake: bool = False):
-        self.video_col = video_col
-        self.every_n = every_n
-        self.fake = fake
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        totals, samples, fps_out, lumas, errs = [], [], [], [], []
-
-        def dead(msg):
-            totals.append(None)
-            samples.append(None)
-            fps_out.append(None)
-            lumas.append(None)
-            errs.append(msg)
-
-        for p in batch.column(self.video_col).to_pylist():
-            if p is None:
-                dead("null payload")
-                continue
-            if p.startswith(b"YUV4MPEG2"):
-                try:
-                    w, h, fps, offsets, luma_n = parse_y4m(p)
-                except ValueError as e:  # corrupt Y4M: quarantine the row
-                    dead(str(e))
-                    continue
-                idx = list(range(0, len(offsets), self.every_n))[:32]
-                totals.append(len(offsets))
-                samples.append(idx)
-                fps_out.append(int(round(fps)))
-                lumas.append(
-                    [
-                        float(np.frombuffer(p, np.uint8, luma_n, offsets[i]).mean() / 255.0)
-                        for i in idx
-                    ]
-                )
-                errs.append(None)
-                continue
-            if not self.fake:
-                raise NotImplementedError(
-                    "compressed-video decode not available in this "
-                    "container (uncompressed Y4M decode is built in)"
-                )
-            digest = hashlib.blake2b(p, digest_size=8).digest()
-            v = np.frombuffer(digest, dtype=np.uint32).astype(np.int64)
-            fps = [24, 25, 30, 60][int(v[0] % 4)]
-            n = int(v[1] % 100_000)
-            totals.append(n)
-            samples.append(list(range(0, n, self.every_n))[:32])
-            fps_out.append(fps)
-            lumas.append(None)
-            errs.append(None)
-        batch = batch.append_column("n_frames_total", pa.array(totals, type=pa.int64()))
-        batch = batch.append_column(
-            "sampled_frames", pa.array(samples, type=pa.list_(pa.int32()))
-        )
-        batch = batch.append_column("fps", pa.array(fps_out, type=pa.int32()))
-        batch = batch.append_column(
-            "frame_luma_mean", pa.array(lumas, type=pa.list_(pa.float64()))
-        )
-        return batch.append_column("decode_error", pa.array(errs, type=pa.string()))
-
-
 def decode_html(ds, html_col: str = "html", batch_size: int = 256):
     """Stateless tag-strip stage (small batches: binary payloads)."""
     return ds.map_batches(
@@ -435,24 +55,4 @@ def decode_html(ds, html_col: str = "html", batch_size: int = 256):
         zero_copy_batch=True,
         batch_size=batch_size,
         fn_kwargs={"html_col": html_col},
-    )
-
-
-def decode_images(
-    ds,
-    image_col: str = "image",
-    fake: bool = False,
-    concurrency=2,
-    batch_size: int = 64,
-    resize_to: tuple | None = None,
-):
-    return ds.map_batches(
-        ImageDecoder,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-        concurrency=concurrency,
-        fn_constructor_kwargs={
-            "image_col": image_col, "fake": fake, "resize_to": resize_to,
-        },
     )

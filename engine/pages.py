@@ -111,23 +111,3 @@ def read_pages(sf_dir: str, with_html: bool = True) -> "ray.data.Dataset":
         zero_copy_batch=True,
         fn_kwargs={"with_html": with_html},
     )
-
-
-def synth_pages_table(n_rows: int, seed: int = 42) -> pa.Table:
-    """Standalone deterministic pages table (FIXTURES.md F1) for unit tests
-    that must not depend on the driver testdata (e.g. tiny merge fixtures).
-    """
-    rng = np.random.default_rng(seed)
-    doc_id = np.arange(n_rows, dtype=np.int64)
-    langs = np.array(["en"] * 60 + ["zh"] * 15 + ["es"] * 8 + ["de"] * 7 + ["fr"] * 10)
-    lang = langs[rng.integers(0, len(langs), n_rows)]
-    words = np.array(["alpha", "beta", "=SUM(1+1)", "gamma ", " delta", "+cmd", ""])
-    text = words[rng.integers(0, len(words), n_rows)]
-    tbl = pa.table(
-        {
-            "doc_id": pa.array(doc_id),
-            "text": pa.array(text.astype(object), type=pa.string()),
-            "lang": pa.array(lang.astype(object), type=pa.string()),
-        }
-    )
-    return derive_pages_batch(tbl)

@@ -4,8 +4,7 @@
 numeric column with DuckDB/Postgres ``quantile_disc``/``percentile_disc``
 semantics: the value at 1-indexed rank ``ceil(q * n)`` of the non-NULL
 values in ascending order (verified empirically against DuckDB in
-tests). ``quantile_cont`` linearly interpolates at index ``q * (n - 1)``
-(DuckDB ``quantile_cont``).
+tests).
 
 Why not ``ds.sort(col)``: a full range-partition sort moves every byte
 of the dataset through an all-to-all exchange to answer a question
@@ -287,36 +286,6 @@ def quantile_disc(
     ranks = [min(max(int(np.ceil(q * n)), 1), n) for q in qs]
     got = _select_ranks(ds, col, ranks, n, cands, **kw)
     return [got[r] for r in ranks]
-
-
-def quantile_cont(
-    ds,
-    col: str,
-    qs,
-    *,
-    candidates_per_batch: int = 1024,
-    max_candidates: int = 65536,
-    **kw,
-) -> list:
-    """Linearly interpolated quantiles at index ``q*(n-1)`` (DuckDB
-    ``quantile_cont``), NULLs excluded."""
-    qs = list(qs)
-    n, cands = _candidates(ds, col, candidates_per_batch, max_candidates)
-    if n == 0:
-        return [None] * len(qs)
-    ranks, pos = [], []
-    for q in qs:
-        x = q * (n - 1)
-        lo = int(np.floor(x))
-        hi = min(lo + 1, n - 1)
-        pos.append((x - lo, lo + 1, hi + 1))
-        ranks += [lo + 1, hi + 1]
-    got = _select_ranks(ds, col, sorted(set(ranks)), n, cands, **kw)
-    out = []
-    for frac, r_lo, r_hi in pos:
-        a, b = float(got[r_lo]), float(got[r_hi])
-        out.append(a + frac * (b - a))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -929,7 +929,7 @@ def embed_dup_pairs_auto(
     n_rows: int | None = None,
 ):
     """Embedding near-dup with automatic path selection (round-2 VERDICT
-    #5, mirroring ``exact_dedup_auto``): at or below ``broadcast_limit``
+    #5): at or below ``broadcast_limit``
     rows the full normalized corpus fits one object-store broadcast and
     :func:`cosine_dup_pairs` gives exact recall; above it the corpus
     matmul is O(n^2) and the bucketed LSH path takes over (recall < 1,

@@ -15,9 +15,9 @@ sessionizes as one key group (SQL ``GROUP BY`` / ``PARTITION BY``).
 MERGE's round-robin spread of null keys would split it per bucket.
 Empty strings are a distinct ordinary key.
 
-- :func:`sessionize`: new session when the gap to the previous event of
-  the same key exceeds ``gap``; emits ``session_seq`` (0-based per key).
-- :func:`session_stats`: per-key session count + event count.
+- :func:`session_stats`: per-key session count + event count. A new
+  session starts when the gap to the previous event of the same key
+  exceeds ``gap`` (``_sessionize_frame`` numbers them per key).
 - :func:`tumbling_window_agg`: fixed-width event-time windows
   (``floor(ts / width)``) -- a pure map + grouped aggregate, no
   ordering needed.
@@ -59,16 +59,6 @@ def _sessionize_frame(df: pd.DataFrame, key: str, ts: str, gap_us: int) -> pd.Da
         - 1
     )
     return df
-
-
-def sessionize(ds, key: str = "user_id", ts: str = "ts", gap_seconds: float = 1800.0, num_buckets: int = 64):
-    """Append ``session_seq`` per key under a gap rule (session window)."""
-    gap_us = int(gap_seconds * 1_000_000)
-
-    def fold(df: pd.DataFrame) -> pd.DataFrame:
-        return _sessionize_frame(df, key, ts, gap_us)
-
-    return bucketed(ds, key, fold, num_buckets=num_buckets, batch_format="pandas")
 
 
 def session_stats(ds, key: str = "user_id", ts: str = "ts", gap_seconds: float = 1800.0, num_buckets: int = 64):

@@ -9,7 +9,7 @@ import ray.data
 from engine import cli
 from engine.jobs import ingest
 from engine.manifest import Table
-from engine.pages import synth_pages_table
+from pages_fixture import synth_pages_table
 
 
 def _mk_table(root) -> str:

@@ -105,7 +105,7 @@ def test_compact_resume_rebinds_by_content_not_ordinal(tmp_table_root, ray_sessi
     # resume, stale entries must NOT be skipped by planning ordinal.
     import pyarrow as pa
     from engine.manifest import JobLog, Table
-    from engine.pages import synth_pages_table
+    from pages_fixture import synth_pages_table
     from engine.writer import write_files
     import ray.data
 

@@ -124,15 +124,6 @@ def test_minhash_end_to_end_dedup(ray_session):
     assert sorted(out.doc_id) == [0, 3, 4]
 
 
-def test_exact_dedup_shuffle_matches_broadcast(ray_session):
-    from engine.dedup import exact_dedup_shuffle
-
-    ds = ray.data.from_arrow(_docs()).repartition(3)
-    out = exact_dedup_shuffle(ds, num_buckets=4).to_pandas()
-    assert sorted(out.doc_id) == [0, 2, 3, 4, 5]
-    assert list(out.columns) == ["doc_id", "text"]
-
-
 def test_content_hash_full_64_bits():
     # regression: crc32+bijective-mix had only 32 bits of entropy; two
     # crc32-colliding strings must now hash differently
@@ -221,20 +212,6 @@ def test_minhash_verify_never_materializes_corpus(ray_session, monkeypatch):
     found = {tuple(sorted((a, b))) for a, b in zip(*(pairs.to_pandas()[c] for c in ("id_a", "id_b")))}
     assert (0, 1) in found and (0, 2) in found and (0, 5) in found
     assert not any(3 in p or 4 in p for p in found)
-
-
-def test_exact_dedup_auto_routes_by_cardinality(ray_session):
-    from engine.dedup import exact_dedup_auto
-
-    ds = ray.data.from_arrow(_docs())
-    # 5 distinct texts, generous limit -> broadcast
-    filtered, path = exact_dedup_auto(ds, broadcast_limit=1000)
-    assert path == "broadcast"
-    assert sorted(filtered.to_pandas().doc_id) == [0, 2, 3, 4, 5]
-    # high-cardinality corpus (limit below distinct count) -> shuffle
-    filtered, path = exact_dedup_auto(ds, broadcast_limit=2, num_buckets=4)
-    assert path == "shuffle"
-    assert sorted(filtered.to_pandas().doc_id) == [0, 2, 3, 4, 5]
 
 
 def test_hot_cell_cap_preserves_components(ray_session):

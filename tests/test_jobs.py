@@ -24,7 +24,8 @@ from engine.jobs import (
     unify_parquet_schemas,
 )
 from engine.manifest import Table
-from engine.pages import read_pages, synth_pages_table
+from engine.pages import read_pages
+from pages_fixture import synth_pages_table
 
 
 CFG = EngineConfig(merge_buckets=4)
@@ -249,7 +250,6 @@ def test_expire_gc_after_maintenance(tmp_table_root, sf_dir, ray_session):
 def test_ingest_sharded_resume(tmp_path, ray_session):
     import pyarrow.parquet as pq
     from engine.jobs import ingest_sharded
-    from engine.pages import synth_pages_table
 
     paths = []
     full = synth_pages_table(300)
@@ -316,7 +316,6 @@ def test_job_rerun_after_commit_is_noop(tmp_path, ray_session):
     # the table); now the commit is idempotent per job_id
     import pyarrow.parquet as pq
     from engine.jobs import ingest_sharded
-    from engine.pages import synth_pages_table
 
     paths = []
     for i in range(2):
@@ -344,7 +343,6 @@ def test_failed_shard_recorded_and_retried(tmp_path, ray_session):
     import pyarrow.parquet as pq
     from engine.jobs import ingest_sharded
     from engine.manifest import JobLog
-    from engine.pages import synth_pages_table
 
     paths = []
     full = synth_pages_table(200)
@@ -703,7 +701,6 @@ def test_cli_dedup_lines(tmp_table_root, ray_session, capsys):
 
     from engine import cli
     from engine.jobs import ingest, merge_into
-    from engine.pages import synth_pages_table
 
     tab = Table.create(tmp_table_root)
     ingest(tab, ray.data.from_arrow(synth_pages_table(200)), CFG, sanitize_cols=())
@@ -716,7 +713,6 @@ def test_cli_dedup_lines(tmp_table_root, ray_session, capsys):
 
 def test_dedup_lines_idempotent_rerun(tmp_table_root, ray_session):
     from engine.jobs import dedup_lines, ingest, merge_into
-    from engine.pages import synth_pages_table
 
     tab = Table.create(tmp_table_root)
     ingest(tab, ray.data.from_arrow(synth_pages_table(100)), CFG, sanitize_cols=())

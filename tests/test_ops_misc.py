@@ -98,7 +98,7 @@ def test_validate_csv_paths(tmp_path):
 def test_dump_csv_roundtrip(tmp_table_root, ray_session):
     from engine.jobs import dump_csv, ingest
     from engine.manifest import Table
-    from engine.pages import synth_pages_table
+    from pages_fixture import synth_pages_table
 
     t = Table.create(tmp_table_root)
     ingest(t, ray.data.from_arrow(synth_pages_table(50)), sanitize_cols=())
@@ -136,21 +136,6 @@ def test_bloom_semi_join_no_false_negatives(ray_session):
     assert keys <= kept                       # zero false negatives
     fp = len(kept - keys) / 500
     assert fp < 0.05                          # ~0.1% expected at these params
-
-
-def test_hll_accuracy_and_merge():
-    import numpy as np
-    from engine.sketch import HyperLogLog
-
-    a, b = HyperLogLog(12), HyperLogLog(12)
-    a.add_strings([f"x{i}" for i in range(30000)])
-    b.add_strings([f"x{i}" for i in range(20000, 60000)])  # overlap 10k
-    merged = a.merge(b)
-    est = merged.estimate()
-    assert abs(est - 60000) / 60000 < 0.05
-    # determinism + serialization round-trip
-    again = HyperLogLog.from_bytes(merged.to_bytes())
-    assert again.estimate() == est
 
 
 def test_bloom_canonicalization_no_false_negatives(ray_session):
@@ -216,16 +201,6 @@ def test_range_join_guards(ray_session):
         ray.data.from_arrow(pa.table({"id": [1, 2], "v": [5.0, 6.0]})), empty, "v", "lo", "hi", attach=["b"]
     ).to_pandas()
     assert len(out) == 2 and out.b.isna().all()
-
-
-def test_hll_skips_nulls():
-    from engine.sketch import HyperLogLog
-
-    h = HyperLogLog(12)
-    h.add_strings([None, None, float("nan")])
-    assert h.estimate() == 0.0
-    h.add_strings(["a", None, "b"])
-    assert 1.5 < h.estimate() < 2.5
 
 
 def test_bloom_string_fast_path_nulls_and_empty(ray_session):
@@ -345,26 +320,26 @@ def test_grouped_topk_ascending_and_empty(ray_session):
     assert len(empty) == 0
 
 
-def test_global_topk_and_group_count_ds(ray_session):
-    """global_topk == ORDER BY n DESC, k ASC LIMIT 3 over the streaming
-    grouped count (NULL key one group, ties broken by key, int64 counts
-    exact)."""
+def test_global_topk_null_key_and_ties(ray_session):
+    """global_topk == ORDER BY n DESC, k ASC LIMIT k over a grouped count
+    spread across blocks: the NULL key is an ordinary row that sorts
+    after every non-NULL tie, ties at the cut break by key, and int64
+    counts stay exact."""
     import duckdb
     import pandas as pd
     import ray.data
 
-    from engine.aggregates import global_topk, group_count_ds
+    from engine.aggregates import global_topk
 
-    keys = (["a"] * 7 + ["b"] * 5 + ["c"] * 5 + [None] * 3 + ["d"]) * 4
-    df = pd.DataFrame({"k": pd.array(keys, dtype=object)})
-    ds = ray.data.from_pandas(df).repartition(6)
-    counts = group_count_ds(ds, "k")
-    got = global_topk(counts, "n", 3, tie_cols=("k",)).to_pandas()
+    counts = pd.DataFrame(
+        {
+            "k": pd.array(["e", None, "c", "a", "d", "b", "f"], dtype=object),
+            "n": pd.array([5, 5, 5, 7, 5, 5, 1], dtype="int64"),
+        }
+    )
+    ds = ray.data.from_pandas(counts).repartition(4)
     con = duckdb.connect()
-    con.register("t", df)
-    want = con.execute(
-        "SELECT k, count(*) AS n FROM t GROUP BY k ORDER BY n DESC, k LIMIT 3"
-    ).fetchdf()
+    con.register("t", counts)
 
     def norm(d):
         d = d[sorted(d.columns)].copy()
@@ -372,7 +347,14 @@ def test_global_topk_and_group_count_ds(ray_session):
             drop=True
         )
 
-    pd.testing.assert_frame_equal(norm(got), norm(want), check_dtype=False)
+    # k=5 cuts between the non-NULL ties and the NULL key; k=3 inside the ties
+    for k in (3, 5, 6, 7):
+        got = global_topk(ds, "n", k, tie_cols=("k",)).to_pandas()
+        want = con.execute(
+            f"SELECT k, n FROM t ORDER BY n DESC, k LIMIT {k}"
+        ).fetchdf()
+        pd.testing.assert_frame_equal(norm(got), norm(want), check_dtype=False)
+        assert str(got["n"].dtype) == "int64"
 
 
 def test_topk_kernel_hypothesis_vs_pandas():

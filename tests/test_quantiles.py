@@ -1,5 +1,5 @@
 """engine.quantiles: exact distributed selection vs DuckDB
-quantile_disc / quantile_cont."""
+quantile_disc."""
 
 import duckdb
 import numpy as np
@@ -7,7 +7,7 @@ import pandas as pd
 import pytest
 import ray.data
 
-from engine.quantiles import grouped_quantile_disc, quantile_cont, quantile_disc
+from engine.quantiles import grouped_quantile_disc, quantile_disc
 
 QS = [0.0, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0]
 
@@ -35,15 +35,6 @@ def test_quantile_disc_nulls_nan_ties(ray_session):
         assert (np.isnan(g) and np.isnan(w)) or g == w, (g, w)
 
 
-def test_quantile_cont_matches_duckdb(ray_session):
-    rng = np.random.default_rng(3)
-    df = pd.DataFrame({"v": rng.uniform(-5, 5, 7001)})
-    ds = ray.data.from_pandas(df).repartition(6)
-    got = quantile_cont(ds, "v", [0.25, 0.5, 0.75], candidates_per_batch=32)
-    want = _duck(df, "quantile_cont", [0.25, 0.5, 0.75])
-    assert np.allclose(got, want)
-
-
 def test_quantile_int64_past_2_53_stays_exact(ray_session):
     """int64 values beyond 2^53 never pass through float64: the median
     of a 2^60-offset ramp is exact to the unit."""
@@ -56,7 +47,6 @@ def test_quantile_int64_past_2_53_stays_exact(ray_session):
 def test_quantile_empty_and_all_null(ray_session):
     e = pd.DataFrame({"v": pd.Series([None, None], dtype="float64")})
     assert quantile_disc(ray.data.from_pandas(e), "v", [0.5, 0.9]) == [None, None]
-    assert quantile_cont(ray.data.from_pandas(e), "v", [0.5]) == [None]
 
 
 def test_quantile_refine_loop_on_skew(ray_session):

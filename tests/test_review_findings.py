@@ -217,81 +217,6 @@ def test_url_sort_key32_matches_scalar_reference():
     assert [int(v) for v in got] == [ref(u) for u in urls]
 
 
-def test_multimodal_null_payload_dead_letters(ray_session):
-    """NULL binary payloads quarantine the ROW (decode_error), never
-    abort the job with a misleading missing-codec error."""
-    from engine.multimodal import AudioFrameSampler, ImageDecoder, VideoFrameSampler
-
-    img = ImageDecoder(fake=False)(pa.table({"image": pa.array([None], pa.binary())}))
-    assert img.column("decode_error")[0].as_py() == "null payload"
-    aud = AudioFrameSampler(fake=False)(pa.table({"audio": pa.array([None], pa.binary())}))
-    assert aud.column("decode_error")[0].as_py() == "null payload"
-    vid = VideoFrameSampler(fake=False)(pa.table({"video": pa.array([None], pa.binary())}))
-    assert vid.column("decode_error")[0].as_py() == "null payload"
-
-
-def test_corrupt_wav_quarantined_with_field_names(ray_session):
-    """A zero-channel fmt chunk must name the field, not ZeroDivisionError."""
-    import struct
-
-    from engine.multimodal import AudioFrameSampler
-
-    fmt = struct.pack("<HHIIHH", 1, 0, 8000, 0, 0, 16)  # n_channels=0
-    raw = b"RIFF" + b"\x00" * 4 + b"WAVE"
-    raw += b"fmt " + struct.pack("<I", len(fmt)) + fmt
-    raw += b"data" + struct.pack("<I", 4) + b"\x00" * 4
-    out = AudioFrameSampler(fake=False)(pa.table({"audio": pa.array([raw], pa.binary())}))
-    err = out.column("decode_error")[0].as_py()
-    assert err and "channels=0" in err
-
-
-def test_truncated_payloads_dead_letter_not_crash(ray_session):
-    """Truncated known-format payloads quarantine the ROW. Three escapes
-    found by review: struct.error (not a ValueError subclass) from a
-    truncated BMP/WAV header killed the actor, and parse_y4m emitted an
-    offset for a partial trailing frame whose luma sample then crashed
-    OUTSIDE the try block."""
-    import struct
-
-    from engine.multimodal import (
-        AudioFrameSampler,
-        ImageDecoder,
-        VideoFrameSampler,
-    )
-
-    # BMP magic + 2 bytes: struct.unpack_from at offset 10 underflows
-    img = ImageDecoder(fake=False)(
-        pa.table({"image": pa.array([b"BM\x00\x01"], pa.binary())})
-    )
-    assert img.column("decode_error")[0].as_py()
-    assert img.column("width")[0].as_py() is None
-
-    # fmt chunk declaring 16 bytes but carrying 2
-    raw = (
-        b"RIFF" + struct.pack("<I", 20) + b"WAVE"
-        + b"fmt " + struct.pack("<I", 16) + b"\x01\x00"
-    )
-    aud = AudioFrameSampler(fake=False)(
-        pa.table({"audio": pa.array([raw], pa.binary())})
-    )
-    assert aud.column("decode_error")[0].as_py()
-
-    # one whole 4x4 C420 frame, then a FRAME header with 3 payload bytes
-    hdr = b"YUV4MPEG2 W4 H4 F30:1 C420\n"
-    frame = b"FRAME\n" + bytes(4 * 4 * 3 // 2)
-    vid = VideoFrameSampler(fake=False, every_n=1)(
-        pa.table({"video": pa.array([hdr + frame + b"FRAME\n" + bytes(3)], pa.binary())})
-    )
-    err = vid.column("decode_error")[0].as_py()
-    assert err and "truncated frame" in err
-    # an intact stream still decodes
-    ok = VideoFrameSampler(fake=False, every_n=1)(
-        pa.table({"video": pa.array([hdr + frame], pa.binary())})
-    )
-    assert ok.column("decode_error")[0].as_py() is None
-    assert ok.column("n_frames_total")[0].as_py() == 1
-
-
 def test_csv_ingest_quarantines_unreadable_file(tmp_path, ray_session):
     """An OSError (file vanished after validation) quarantines the file;
     the other files' ingest completes."""

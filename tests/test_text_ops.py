@@ -1,5 +1,5 @@
-"""Text analysis stages: stats/quality, langid, fingerprinting, and the
-multimodal binary-column plumbing."""
+"""Text analysis stages: stats/quality, langid, fingerprinting, and HTML
+extraction over the binary ``html`` column."""
 
 import numpy as np
 import pandas as pd
@@ -10,7 +10,7 @@ import ray.data
 
 from engine.fingerprint import fingerprint64, fingerprint_stage, rolling_hashes, winnow
 from engine.langid import LangId, lang_id
-from engine.multimodal import ImageDecoder, decode_html, decode_images, html_to_text_batch
+from engine.multimodal import decode_html, html_to_text_batch
 from engine.textstats import TextStats, text_stats
 
 
@@ -86,7 +86,7 @@ def test_fingerprint_stage(ray_session, sf_dir):
     assert len(out) == 500 and out.fingerprint.nunique() > 490
 
 
-# --- multimodal plumbing ---------------------------------------------------
+# --- HTML extraction -------------------------------------------------------
 
 def test_html_to_text_strips_and_quarantines():
     t = pa.table(
@@ -110,141 +110,6 @@ def test_decode_html_on_pages(ray_session, sf_dir):
     ok = out[out.decode_error.isna()]
     # pages html wraps text: extraction round-trips the text column
     assert (ok.extracted_text == ok.text.str.replace(r"\s+", " ", regex=True).str.strip()).all()
-
-
-def test_image_decoder_fake_and_stub(ray_session):
-    t = pa.table({"image": pa.array([b"png1", b"png2"], pa.binary())})
-    out = decode_images(ray.data.from_arrow(t), fake=True).to_pandas()
-    assert {"width", "height", "channels", "feat_mean"} <= set(out.columns)
-    assert (out.width >= 16).all()
-    # deterministic fake
-    again = decode_images(ray.data.from_arrow(t), fake=True).to_pandas()
-    assert out.width.tolist() == again.width.tolist()
-    # real mode is an explicit stub
-    with pytest.raises(NotImplementedError):
-        ImageDecoder(fake=False)._decode_one(b"x")
-
-
-def test_video_sampler_fake_and_stub(ray_session):
-    from engine.multimodal import VideoFrameSampler
-
-    t = pa.table({"video": pa.array([b"mp4-1", b"mp4-2"], pa.binary())})
-    out = ray.data.from_arrow(t).map_batches(
-        VideoFrameSampler, batch_format="pyarrow", concurrency=1,
-        fn_constructor_kwargs={"fake": True},
-    ).to_pandas()
-    assert {"n_frames_total", "sampled_frames", "fps"} <= set(out.columns)
-    assert all(f in (24, 25, 30, 60) for f in out.fps)
-    with pytest.raises(NotImplementedError):
-        VideoFrameSampler()(t)
-
-
-def _ppm_bytes(w, h, value=128):
-    import numpy as np
-    img = np.full((h, w, 3), value, dtype=np.uint8)
-    return b"P6\n# comment\n%d %d\n255\n" % (w, h) + img.tobytes()
-
-
-def _bmp_bytes(w, h, value=200):
-    import struct
-    import numpy as np
-    stride = (w * 3 + 3) & ~3
-    img = np.full((h, stride), 0, dtype=np.uint8)
-    img[:, : w * 3] = value
-    data = img.tobytes()
-    header = b"BM" + struct.pack("<IHHI", 54 + len(data), 0, 0, 54)
-    info = struct.pack("<IiiHHIIiiII", 40, w, h, 1, 24, 0, len(data), 0, 0, 0, 0)
-    return header + info + data
-
-
-def _wav_bytes(rate=16000, n=1600, amp=0.5):
-    import struct
-    import numpy as np
-    samples = (np.sin(np.linspace(0, 50, n)) * amp * 32767).astype("<i2")
-    data = samples.tobytes()
-    fmt = struct.pack("<HHIIHH", 1, 1, rate, rate * 2, 2, 16)
-    return (b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVE"
-            + b"fmt " + struct.pack("<I", 16) + fmt
-            + b"data" + struct.pack("<I", len(data)) + data)
-
-
-def test_real_image_codecs_decode():
-    from engine.multimodal import decode_bmp, decode_ppm, resize_nearest
-
-    ppm = decode_ppm(_ppm_bytes(7, 5, 128))
-    assert ppm.shape == (5, 7, 3) and int(ppm.mean()) == 128
-    bmp = decode_bmp(_bmp_bytes(6, 4, 200))
-    assert bmp.shape == (4, 6, 3) and int(bmp.mean()) == 200
-    small = resize_nearest(ppm, 2, 3)
-    assert small.shape == (2, 3, 3)
-
-
-def test_image_decoder_real_formats_no_fake(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from engine.multimodal import decode_images
-
-    t = pa.table({"image": pa.array([_ppm_bytes(8, 4), _bmp_bytes(4, 8)], pa.binary())})
-    out = decode_images(ray.data.from_arrow(t), fake=False, concurrency=1).to_pandas()
-    assert out.width.tolist() == [8, 4]
-    assert out.height.tolist() == [4, 8]
-    assert out.channels.tolist() == [3, 3]
-    assert all(0.0 <= v <= 1.0 for v in out.feat_mean)
-
-
-def test_wav_decode_real(ray_session):
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-    from engine.multimodal import AudioFrameSampler, decode_wav
-
-    raw = _wav_bytes(rate=8000, n=800)
-    rate, frames, ch, samples = decode_wav(raw)
-    assert (rate, frames, ch) == (8000, 800, 1)
-    assert abs(float(np.sqrt((samples**2).mean())) - 0.35) < 0.05  # sine rms ~ amp/sqrt2
-
-    t = pa.table({"audio": pa.array([raw], pa.binary())})
-    out = ray.data.from_arrow(t).map_batches(
-        AudioFrameSampler, batch_format="pyarrow", concurrency=1,
-        fn_constructor_kwargs={"fake": False},
-    ).to_pandas()
-    assert out.n_frames.tolist() == [800]
-    assert out.sample_rate.tolist() == [8000]
-    assert abs(out.duration_s[0] - 0.1) < 1e-9
-    assert out.rms[0] > 0.2
-
-
-def _y4m_bytes(w=4, h=2, n_frames=7, fps=(30, 1)):
-    import numpy as np
-    hdr = b"YUV4MPEG2 W%d H%d F%d:%d Ip A1:1 C420jpeg\n" % (w, h, *fps)
-    frames = b""
-    for i in range(n_frames):
-        luma = np.full(w * h, 10 * i, dtype=np.uint8).tobytes()
-        chroma = bytes((w * h) // 2)
-        frames += b"FRAME\n" + luma + chroma
-    return hdr + frames
-
-
-def test_y4m_decode_real(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from engine.multimodal import VideoFrameSampler, parse_y4m
-
-    raw = _y4m_bytes(w=4, h=2, n_frames=7)
-    w, h, fps, offsets, luma_n = parse_y4m(raw)
-    assert (w, h, fps, len(offsets), luma_n) == (4, 2, 30.0, 7, 8)
-
-    t = pa.table({"video": pa.array([raw], pa.binary())})
-    out = ray.data.from_arrow(t).map_batches(
-        VideoFrameSampler, batch_format="pyarrow", concurrency=1,
-        fn_constructor_kwargs={"fake": False, "every_n": 3},
-    ).to_pandas()
-    assert out.n_frames_total.tolist() == [7]
-    assert list(out.sampled_frames[0]) == [0, 3, 6]
-    assert out.fps.tolist() == [30]
-    # luma of frame i is 10*i/255
-    got = list(out.frame_luma_mean[0])
-    assert [round(v * 255) for v in got] == [0, 30, 60]
 
 
 def test_textstats_ascii_fast_path_parity():

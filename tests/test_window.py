@@ -6,7 +6,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from engine.window import _sessionize_frame, session_stats, sessionize, tumbling_window_agg
+from engine.window import _sessionize_frame, session_stats, tumbling_window_agg
 
 
 def _ts(minutes):
@@ -44,11 +44,14 @@ def test_session_stats_distributed(ray_session):
 
 
 def test_sessionize_keys_not_split(ray_session):
-    # rows of one key scattered over blocks still form correct sessions
+    # rows of one key scattered over blocks still form correct sessions:
+    # a key split across buckets would emit one partial row per bucket
     ds = ray.data.from_arrow(_events()).random_shuffle(seed=1).repartition(4)
-    out = sessionize(ds, gap_seconds=1800.0, num_buckets=4).to_pandas()
-    u1 = out[out.user_id == 1].sort_values("ts").session_seq.tolist()
-    assert u1 == [0, 0, 1, 1]
+    out = session_stats(ds, gap_seconds=1800.0, num_buckets=4).to_pandas()
+    assert sorted(out.user_id.tolist()) == [1, 2, 3]
+    out = out.sort_values("user_id")
+    assert out.n_sessions.tolist() == [2, 1, 3]
+    assert out.n_events.tolist() == [4, 1, 3]
 
 
 def test_tumbling_window(ray_session):
@@ -100,13 +103,17 @@ def test_sessionize_null_keys_one_group_int64(ray_session):
             ),
         }
     )
-    ds = ray.data.from_arrow(t).repartition(3)
-    out = sessionize(ds, gap_seconds=1800.0, num_buckets=4).to_pandas()
-    assert str(out["session_seq"].dtype) == "int64"
-    null_seq = out[out.user_id.isna()].sort_values("ts").session_seq.tolist()
+    frame = _sessionize_frame(t.to_pandas(), "user_id", "ts", gap_us=30 * 60 * 1_000_000)
+    assert str(frame["session_seq"].dtype) == "int64"
+    null_seq = frame[frame.user_id.isna()].sort_values("ts").session_seq.tolist()
     assert null_seq == [0, 0, 1]
-    assert out[out.user_id == "u7"].session_seq.tolist() == [0, 0]
+    assert frame[frame.user_id == "u7"].session_seq.tolist() == [0, 0]
+    ds = ray.data.from_arrow(t).repartition(3)
     stats = session_stats(ds, gap_seconds=1800.0, num_buckets=4).to_pandas()
+    assert str(stats["n_sessions"].dtype) == "int64"
+    assert len(stats) == 2
     bynull = stats[stats.user_id.isna()]
     assert len(bynull) == 1
     assert bynull.n_sessions.iloc[0] == 2 and bynull.n_events.iloc[0] == 3
+    u7 = stats[stats.user_id == "u7"]
+    assert u7.n_sessions.tolist() == [1] and u7.n_events.tolist() == [2]
