@@ -39,6 +39,7 @@ import ray.data
 
 from engine.exchange import bucketed
 from engine.textstats import TOKEN_PATTERN as _TOKEN_PATTERN  # noqa: E402
+from engine.textstats import _WINDOW_MASK, TextBatch, windows  # noqa: E402
 
 _TOKEN_RE = re.compile(_TOKEN_PATTERN)  # ONE definition of the token class
 
@@ -1226,100 +1227,30 @@ def drop_near_duplicates_shuffle(ds, pairs, id_col: str = "doc_id", num_buckets:
 # SimHash
 # ---------------------------------------------------------------------------
 
-#: byte classes for the vectorized fast tokenizer. Only ASCII bytes
-#: (< 0x80) may be classified: 0x85/0xA0 etc. appear as CONTINUATION
-#: bytes inside multi-byte UTF-8 characters, so marking them would
-#: split tokens mid-codepoint.
-_WS_BYTES = np.zeros(256, dtype=bool)
-for _b in b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f ":
-    _WS_BYTES[_b] = True
-_LOWER_BYTES = np.arange(256, dtype=np.uint8)
-_LOWER_BYTES[65:91] += 32
-#: token-hash gather chunk: 64k tokens x 16 bytes keeps the index /
-#: _TOK_MASK16[k] keeps the first k of 16 bytes: zeroes a short
-#: token's trailing window bytes in one vectorized AND (row k has k
-#: leading 0xFF) -- the gather reads a fixed 16-byte window per token
-#: and the mask restores "first min(len,16) bytes, zero-padded"
-_TOK_MASK16 = ((np.arange(16)[None, :] < np.arange(17)[:, None]) * 255).astype(np.uint8)
-#: the same 17 masks as two little-endian uint64 words (lo, hi)
-_TOK_MASK64 = np.ascontiguousarray(_TOK_MASK16).view(np.uint64)
+def _token_hashes_fast(texts) -> tuple[np.ndarray, np.ndarray]:
+    """(token_hash uint64, tokens_per_doc int64) of a
+    :class:`~engine.textstats.TextBatch` (or anything one is built from)
+    -- zero per-row Python.
 
-
-def _token_hashes_fast(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
-    """(token_hash uint64, tokens_per_doc int64) over an Arrow string
-    array -- zero per-row Python.
-
-    Works directly on the UTF-8 data buffer: ASCII-lowercase via a
-    256-entry table, token boundaries from an ASCII-whitespace byte
-    mask with document starts/ends forced as breaks (a token can never
-    span documents), then each token hashed from its first 16 bytes +
-    its length through two splitmix64 rounds. Semantics vs the scalar
-    reference tokenizer (``_TOKEN_RE`` + ``str.lower``), by design:
-    non-ASCII whitespace (U+00A0, U+2028, ...) counts as token bytes
-    and non-ASCII letters keep their case -- deterministic and
-    locality-preserving, which is all a SimHash token hash needs; the
-    oracle-mirrored "md5" hasher keeps exact reference semantics.
-    Tokens sharing their first 16 bytes AND length collide -- also
-    fine for a similarity signature (such tokens are near-identical).
+    Tokens are the batch's shared whitespace tokenization over the
+    ASCII-lowercased UTF-8 buffer (never spanning documents); each is
+    hashed from its first 16 bytes + its length through two splitmix64
+    rounds. Semantics vs the scalar reference tokenizer (``_TOKEN_RE``
+    + ``str.lower``), by design: non-ASCII whitespace (U+00A0, U+2028,
+    ...) counts as token bytes and non-ASCII letters keep their case --
+    deterministic and locality-preserving, which is all a SimHash token
+    hash needs; the oracle-mirrored "md5" hasher keeps exact reference
+    semantics. Tokens sharing their first 16 bytes AND length collide
+    -- also fine for a similarity signature (such tokens are
+    near-identical).
     """
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    if arr.null_count:
-        arr = pc.fill_null(arr, "")
-    arr = arr.cast(pa.large_string())
-    n = len(arr)
-    offs = np.frombuffer(
-        arr.buffers()[1], dtype=np.int64, count=n + 1, offset=arr.offset * 8
-    )
-    lo, hi = int(offs[0]), int(offs[-1])
-    if n == 0 or hi == lo:
-        return np.empty(0, np.uint64), np.zeros(n, np.int64)
-    data = np.frombuffer(arr.buffers()[2], dtype=np.uint8)
-    nb = hi - lo
-    # 15 zero pad bytes let the hash step read a FIXED 16-byte window
-    # per token start (strided view + one row gather) instead of
-    # building a (tokens, 16) int64 index matrix -- 3.1x on the hash
-    # loop, bit-identical (short tokens are masked by _TOK_MASK16,
-    # matching the old clamp-then-zero bytes exactly)
-    B = np.empty(nb + 15, np.uint8)
-    # branchless ASCII lowercase: data + 32*(is A-Z). The obvious
-    # np.take(_LOWER_BYTES, data, out=B[:nb]) hits numpy's buffered
-    # slow path when ``out`` is a slice view -- 445 ms vs 10 ms on a
-    # 10 MB buffer (measured; BASELINE.md round 4)
-    d = data[lo:hi]
-    is_upper = (d >= 65) & (d <= 90)
-    np.add(d, is_upper.view(np.uint8) << 5, out=B[:nb])
-    B[nb:] = 0
-    offs = (offs - lo).astype(np.int64)
-    ws = _WS_BYTES[B[:nb]]
-    # force doc boundaries as token breaks -- only at NON-EMPTY docs:
-    # an empty doc's offset equals its neighbor's (or sits past the
-    # last byte), and indexing with it would mark a false break
-    nonempty = offs[1:] > offs[:-1]
-    prev = np.empty(nb, bool)
-    prev[0] = True
-    prev[1:] = ws[:-1]
-    prev[offs[:-1][nonempty]] = True
-    starts = np.flatnonzero(~ws & prev)
-    nxt = np.empty(nb, bool)
-    nxt[-1] = True
-    nxt[:-1] = ws[1:]
-    nxt[offs[1:][nonempty] - 1] = True
-    ends = np.flatnonzero(~ws & nxt) + 1
-    tl = (ends - starts).astype(np.uint64)
-    doc_of = np.searchsorted(offs, starts, side="right") - 1
-    lens = np.bincount(doc_of, minlength=n).astype(np.int64)
-    # each token's first-16 bytes as TWO unaligned little-endian uint64
-    # gathers off a byte-strided word view (needs the 15-byte pad
-    # above) -- same values as gathering the (tokens, 16) byte rows and
-    # viewing uint64, but 2 word loads replace 16 byte loads per token;
-    # trailing bytes past the token end are zeroed by the mask LUT
-    u64 = np.ndarray(buffer=B, dtype=np.uint64, shape=(nb + 8,), strides=(1,))
-    tcl = np.minimum(tl, 16).astype(np.int64)
-    w0 = u64[starts] & _TOK_MASK64[tcl, 0]
-    w1 = u64[starts + 8] & _TOK_MASK64[tcl, 1]
-    h = _mix64(w0 ^ _mix64(w1 ^ tl))
-    return h, lens
+    tb = texts if isinstance(texts, TextBatch) else TextBatch(texts)
+    tl = tb.ends - tb.starts
+    # the second 8-byte window of each token start, read off the
+    # 15-byte-padded buffer (one word load, not eight byte loads) and
+    # masked to the token's bytes past the first window
+    w1 = windows(tb.low)[tb.starts + 8] & _WINDOW_MASK[np.clip(tl - 8, 0, 8)]
+    return _mix64(tb.w0 ^ _mix64(w1 ^ tl.astype(np.uint64))), np.diff(tb.tok_off)
 
 
 def simhash_texts(texts, hasher: str = "fast") -> np.ndarray:
@@ -1327,8 +1258,8 @@ def simhash_texts(texts, hasher: str = "fast") -> np.ndarray:
 
     The default "fast" hasher tokenizes AND hashes fully vectorized on
     the Arrow UTF-8 buffer (:func:`_token_hashes_fast` -- no per-row
-    Python at all; pass the Arrow column straight in to skip the
-    ``to_pylist`` copy), then ``unpackbits`` + ``add.reduceat``
+    Python at all; pass the Arrow column, or the batch's shared
+    ``TextBatch``, straight in), then ``unpackbits`` + ``add.reduceat``
     segment sums. Bit rule: bit i set iff strictly more tokens have
     bit i set than clear (ties -> 0).
 
@@ -1338,13 +1269,7 @@ def simhash_texts(texts, hasher: str = "fast") -> np.ndarray:
     oracle path.
     """
     if hasher == "fast":
-        if isinstance(texts, (pa.Array, pa.ChunkedArray)):
-            arr = texts
-        elif isinstance(texts, pd.Series):
-            arr = pa.Array.from_pandas(texts)
-        else:
-            arr = pa.array(list(texts), type=pa.string())
-        h, lens = _token_hashes_fast(arr)
+        h, lens = _token_hashes_fast(texts)
         n = len(lens)
         sigs = np.zeros(n, dtype=np.uint64)
         if len(h) == 0:

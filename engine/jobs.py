@@ -574,11 +574,14 @@ def dump_csv(table: Table, out_dir: str, columns: Optional[list] = None) -> str:
 
 
 class _NormalizeFused:
-    """Quality stats + language id + simhash in ONE pandas callable:
-    state (regexes, profiles) built once per process, one
-    arrow<->pandas conversion for the whole chain instead of three
-    (the round-2 ingest-scaling fix -- format conversions were pure
-    per-block overhead that scaled worse than the kernels)."""
+    """Quality stats + language id + simhash as ONE Arrow-in, Arrow-out
+    callable: state (regexes, profiles) built once per process, and the
+    text column decoded once per batch into a ``TextBatch`` (bytes,
+    offsets, lowered bytes, one whitespace tokenization) that all three
+    kernels read. No pandas conversion: every kernel starts from the
+    Arrow string buffer, and a format round trip was pure per-block
+    overhead (it also retyped all-NULL columns to ``null`` and
+    ``large_string`` to ``string``)."""
 
     def __init__(self, text_col: str = "text", simhash: bool = True):
         from engine.langid import LangId
@@ -589,22 +592,21 @@ class _NormalizeFused:
         self.simhash = simhash
         self.text_col = text_col
 
-    def __call__(self, batch):
-        batch = self.ts(batch)
-        batch = self.li(batch)
-        if self.simhash:
-            from engine.dedup import simhash_texts
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        from engine.dedup import simhash_texts
+        from engine.textstats import TextBatch, with_columns
 
-            # pass the Series straight through: the fast hasher works
-            # on the Arrow buffer, so no to_pylist materialization
-            batch["simhash"] = simhash_texts(batch[self.text_col])
+        tb = TextBatch(batch.column(self.text_col))
+        batch = self.li(self.ts(batch, tb), tb)
+        if self.simhash:
+            batch = with_columns(batch, {"simhash": pa.array(simhash_texts(tb), pa.uint64())})
         return batch
 
 
 _NORM_CACHE: dict = {}
 
 
-def _normalize_fn(batch, text_col: str = "text", simhash: bool = True, sanitize_cols=()):
+def _normalize_fn(batch: pa.Table, text_col: str = "text", simhash: bool = True, sanitize_cols=()):
     key = (text_col, simhash)
     st = _NORM_CACHE.get(key)
     if st is None:
@@ -617,9 +619,7 @@ def _normalize_fn(batch, text_col: str = "text", simhash: bool = True, sanitize_
         # + 64-task wave; callers then ingest with sanitize_cols=())
         from engine.sanitize import sanitize_batch
 
-        return sanitize_batch(
-            pa.Table.from_pandas(out, preserve_index=False), columns=sanitize_cols
-        )
+        return sanitize_batch(out, columns=sanitize_cols)
     return out
 
 
@@ -631,14 +631,15 @@ def normalize_stage(
 ):
     """The north-star normalization chain: quality stats -> language id
     -> simhash content signature, one fused elastic map stage over the
-    text column (see ARCHITECTURE.md section 1). ``sanitize_cols``
-    additionally fuses the cell sanitizer into the SAME stage (pass
-    ``sanitize_cols=()`` to the downstream ``ingest`` to avoid a
-    redundant pass)."""
+    text column, Arrow in and Arrow out (see ARCHITECTURE.md section 1).
+    ``sanitize_cols`` additionally fuses the cell sanitizer into the
+    SAME stage (pass ``sanitize_cols=()`` to the downstream ``ingest``
+    to avoid a redundant pass)."""
     cfg = cfg if cfg is not None else EngineConfig()
     return ds.map_batches(
         _normalize_fn,
-        batch_format="pandas",
+        batch_format="pyarrow",
+        zero_copy_batch=True,
         fn_kwargs={"simhash": simhash, "sanitize_cols": tuple(sanitize_cols)},
         batch_size=cfg.batch_size,
     )

@@ -15,7 +15,11 @@ from __future__ import annotations
 import re
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
+
+from engine.textstats import (
+    _WINDOW_MASK, KeySet, TextBatch, _runs, iter_spans, span_runs, windows, with_columns,
+)
 
 PROFILES = {
     "en": "the of and to a in is you that it for on are with as at be this have from or by one had not but what all were".split(),
@@ -55,14 +59,14 @@ _PROFILE_PACKS = {
     for lang, words in PROFILES.items()
 }
 
-#: ONE sorted array of every profile pack + a (num_packs x num_langs)
+#: ONE set of every profile pack + a (num_packs x num_langs)
 #: membership matrix: token membership across all 7 languages is a
-#: single searchsorted probe (words like "de" belong to several
-#: languages, hence a matrix, not a lang id)
-_ALL_PACKS = np.unique(np.concatenate(list(_PROFILE_PACKS.values())))
-_PACK_LANGS = np.zeros((len(_ALL_PACKS), len(PROFILES)), bool)
+#: single probe (words like "de" belong to several languages, hence a
+#: matrix, not a lang id)
+_ALL_PACKS = KeySet(np.concatenate(list(_PROFILE_PACKS.values())))
+_PACK_LANGS = np.zeros((len(_ALL_PACKS.keys), len(PROFILES)), bool)
 for _li, _lang in enumerate(PROFILES):
-    _PACK_LANGS[np.searchsorted(_ALL_PACKS, _PROFILE_PACKS[_lang]), _li] = True
+    _PACK_LANGS[_ALL_PACKS.find(_PROFILE_PACKS[_lang]), _li] = True
 
 _SAMPLE_CAP = 4000
 
@@ -89,63 +93,57 @@ _SCRIPT_SPANS = [(lang, _parse_spans(rx.pattern)) for lang, rx in _SCRIPT_RANGES
 _BLOCK_CHARS = 64 * 1024
 
 
-def _token_kernel(cp: np.ndarray, off: np.ndarray, n: int):
-    """(ntok, hitmat) over a codepoint array with row offsets.
+def _token_kernel(lanes: np.ndarray, starts: np.ndarray, ends: np.ndarray, off: np.ndarray):
+    """(ntok, hitmat) of letter-run tokens given as (starts, ends) over
+    ``lanes``, one byte per character, with row offsets.
 
-    The token class ``[a-zà-ÿäöüßñç]``
-    collapses to codepoints 97-122 and 223-255 (0xDF..0xFF contiguous);
-    tokens are maximal runs, profile compares pack each <=8-char token's
-    codepoints into a uint64 (every letter fits one byte lane, and only
-    pure-ASCII packs can ever equal an ASCII profile word's pack).
+    Every character of a token is in ``[a-zà-ÿäöüßñç]`` -- codepoints
+    97-122 and 223-255 (0xDF..0xFF contiguous) -- so it fits one byte
+    lane, and a <=8-char token packs into the uint64 of its 8-byte
+    window (only pure-ASCII packs can ever equal an ASCII profile
+    word's pack). ``lanes`` is padded so a window can start anywhere.
     """
-    letter = ((cp >= 97) & (cp <= 122)) | ((cp >= 0xDF) & (cp <= 0xFF))
-    prev = np.empty_like(letter)
-    if len(letter):
-        prev[0] = False
-        prev[1:] = letter[:-1]
-        idx = off[:-1]
-        prev[idx[idx < len(letter)]] = False  # row boundary: no prev char
-    starts = letter & ~prev
-    nxt = np.empty_like(letter)
-    if len(letter):
-        nxt[-1] = False
-        nxt[:-1] = letter[1:]
-        idx = off[1:] - 1
-        nxt[idx[(idx >= 0) & (idx < len(letter))]] = False
-    ends = letter & ~nxt
-
-    si = np.flatnonzero(starts)
-    ei = np.flatnonzero(ends)
-    rows = np.searchsorted(off, si, side="right") - 1
-    ntok = np.bincount(rows, minlength=n).astype(np.int64)
-
+    n = len(off) - 1
+    tok_off = np.searchsorted(starts, off)
+    ntok = np.diff(tok_off)
+    lens = ends - starts
+    short = np.flatnonzero(lens <= 8)
+    packs = windows(lanes)[starts[short]] & _WINDOW_MASK[lens[short]]
+    # ONE probe against the combined profile set (np.isin would
+    # re-sort the large packs array once PER LANG)
+    pos = _ALL_PACKS.find(packs)
+    valid = pos >= 0
     hitmat = np.zeros((n, len(_LANGS)), np.int64)
-    if len(si):
-        lengths = ei - si + 1
-        short = lengths <= 8
-        si_s, len_s, rows_s = si[short], lengths[short], rows[short]
-        cpp = np.concatenate([cp, np.zeros(8, np.uint32)])
-        g = cpp[si_s[:, None] + np.arange(8)[None, :]]
-        g = np.where(np.arange(8)[None, :] < len_s[:, None], g, 0)
-        # two uint32 half-packs, combined once -- halves the temporary
-        # bytes versus an eight-lane uint64 accumulate
-        lo = g[:, 0] | (g[:, 1] << 8) | (g[:, 2] << 16) | (g[:, 3] << 24)
-        hi = g[:, 4] | (g[:, 5] << 8) | (g[:, 6] << 16) | (g[:, 7] << 24)
-        packs = lo.astype(np.uint64) | (hi.astype(np.uint64) << np.uint64(32))
-        # ONE searchsorted probe against the combined profile table
-        # (np.isin would re-sort the large packs array once PER LANG)
-        pos = np.searchsorted(_ALL_PACKS, packs)
-        pos[pos == len(_ALL_PACKS)] = 0
-        valid = _ALL_PACKS[pos] == packs
-        if valid.any():
-            widx = pos[valid]
-            rows_v = rows_s[valid]
-            member = _PACK_LANGS[widx]  # (matched, num_langs)
-            for li in range(len(_LANGS)):
-                col = member[:, li]
-                if col.any():
-                    hitmat[:, li] = np.bincount(rows_v[col], minlength=n)
+    if valid.any():
+        rows_v = np.repeat(np.arange(n, dtype=np.int32), ntok)[short[valid]]
+        member = _PACK_LANGS[pos[valid]]  # (matched, num_langs)
+        for li in range(len(_LANGS)):
+            col = member[:, li]
+            if col.any():
+                hitmat[:, li] = np.bincount(rows_v[col], minlength=n)
     return ntok, hitmat
+
+
+def _profile_vote(ntok: np.ndarray, hitmat: np.ndarray):
+    """(preds, confs) of the stopword-profile vote: argmax first-wins
+    matches :meth:`LangId.classify`'s dict-order tie breaking."""
+    n = len(ntok)
+    best = hitmat.argmax(axis=1)
+    bh = hitmat[np.arange(n), best]
+    und = (bh == 0) | (ntok == 0)
+    preds = np.array(_LANGS, object)[best]
+    preds[und] = "und"
+    return preds, np.where(und, 0.0, np.minimum(1.0, bh / np.maximum(ntok, 1) * 2))
+
+
+def _ascii_langid(tb):
+    """(preds, confs) by the byte path, exact for every ASCII row of a
+    :class:`~engine.textstats.TextBatch`: no script range holds an ASCII
+    codepoint, and the letter class of the lowered text is ``a-z``, so
+    :meth:`LangId.classify` reduces to ``a-z`` runs over the lowered
+    bytes of each row's first ``_SAMPLE_CAP`` bytes (= characters)."""
+    runs = span_runs(lambda x: (x - np.uint8(97)) <= 25, tb.low, tb.off, cap=_SAMPLE_CAP)
+    return _profile_vote(*_token_kernel(tb.low, *runs, tb.off))
 
 
 def _block_langid(texts):
@@ -156,11 +154,8 @@ def _block_langid(texts):
     - script vote: per-language codepoint-range counts (one boolean
       mask + bincount per language over the block's utf-32 view), in
       declaration order with first-match-wins (``ja`` before ``zh``);
-    - residual rows: lowercase ONCE (whole block string; falls back to
-      per-row joins only if a 1->N lowercase expansion shifted offsets,
-      which CPython lower can do e.g. for U+0130), then letter-run
-      tokenization + packed profile compare; argmax first-wins matches
-      dict-order tie breaking.
+    - residual rows: lowercase ONCE (whole block string), then
+      letter-run tokenization + packed profile compare.
 
     Raises UnicodeEncodeError on lone surrogates (caller falls back to
     the per-row path for that block only).
@@ -178,7 +173,7 @@ def _block_langid(texts):
     decided = np.zeros(n, bool)
     top = int(cp.max()) if len(cp) else 0
     if len(cp) and top >= min(lo for _, sp in _SCRIPT_SPANS for lo, _ in sp):
-        rowid = np.repeat(np.arange(n), lens)
+        rowid = np.repeat(np.arange(n, dtype=np.int32), lens)
         for lang, spans in _SCRIPT_SPANS:
             if all(lo > top for lo, _ in spans):
                 continue  # block holds no codepoint that high (ASCII fast case)
@@ -198,54 +193,35 @@ def _block_langid(texts):
     # lower with DuckDB/utf8proc semantics (textstats.sql_lower): the
     # lang_id oracle tokenizes lower(s), and Python str.lower diverges
     # on İ (two codepoints, loses the 'in'/'it'/'is' profile hits the
-    # oracle finds in Turkish text) and Greek final sigma
-    from engine.textstats import sql_lower, sql_lower_list
+    # oracle finds in Turkish text) and Greek final sigma. utf8proc's
+    # simple mapping is codepoint 1:1, so the offsets stay valid
+    # (pinned over every scalar value by
+    # tests/test_text_ops.py::test_arrow_utf8_lower_is_one_to_one)
+    from engine.textstats import sql_lower
 
-    joined_l = sql_lower(joined)
-    if len(joined_l) == len(joined):
-        # every lowercase mapping was 1:1 -> the offsets stay valid
-        # (utf8proc simple mapping is always codepoint-1:1, so this
-        # branch is the only live one; the fallback stays for safety)
-        cpl = np.frombuffer(joined_l.encode("utf-32-le"), dtype=np.uint32)
-        ntok, hitmat = _token_kernel(cpl, off, n)
-    else:
-        low = sql_lower_list(texts)
-        lens2 = np.fromiter(map(len, low), np.int64, n)
-        off2 = np.zeros(n + 1, np.int64)
-        np.cumsum(lens2, out=off2[1:])
-        cpl = np.frombuffer("".join(low).encode("utf-32-le"), dtype=np.uint32)
-        ntok, hitmat = _token_kernel(cpl, off2, n)
-
-    best = hitmat.argmax(axis=1)
-    bh = hitmat[np.arange(n), best]
-    und = (bh == 0) | (ntok == 0)
-    tok_pred = np.array(_LANGS, object)[best]
-    tok_pred[und] = "und"
-    tok_conf = np.where(und, 0.0, np.minimum(1.0, bh / np.maximum(ntok, 1) * 2))
+    cpl = np.frombuffer(sql_lower(joined).encode("utf-32-le"), dtype=np.uint32)
+    letter = ((cpl >= 97) & (cpl <= 122)) | ((cpl >= 0xDF) & (cpl <= 0xFF))
+    lanes = np.concatenate([cpl.astype(np.uint8), np.zeros(8, np.uint8)])
+    tok_pred, tok_conf = _profile_vote(*_token_kernel(lanes, *_runs(letter, off), off))
     take = ~decided
     preds[take] = tok_pred[take]
     confs[take] = tok_conf[take]
     return preds, confs
 
 
-def _vector_langid(s: pd.Series):
-    """Default-on vectorized (lang_pred, lang_conf) for ANY batch --
-    ASCII and non-ASCII rows alike go through codepoint-domain numpy
-    kernels; per-row Python survives only for blocks containing lone
-    surrogates (unencodable to utf-32). Mirrors classify() exactly
-    (parity-fuzzed); round-2 VERDICT #1: the previous design dropped
-    WHOLE batches to a per-row loop on any non-ASCII byte, i.e. the
-    common case of a web corpus, inside the hottest stage."""
-    samples = s.str.slice(0, _SAMPLE_CAP)
-    texts = samples.tolist()
-    n = len(texts)
-    preds = np.empty(n, object)
-    confs = np.empty(n, np.float64)
-    lens = np.fromiter(map(len, texts), np.int64, n)
-    off = np.zeros(n + 1, np.int64)
-    np.cumsum(lens, out=off[1:])
-    from engine.textstats import iter_spans
-
+def _vector_langid(tb):
+    """(lang_pred, lang_conf) for every row of a
+    :class:`~engine.textstats.TextBatch`, mirroring classify() exactly
+    (parity-fuzzed). ASCII rows take the byte path
+    (:func:`_ascii_langid`); only non-ASCII rows are decoded to Python
+    text and go through the utf-32 blocks (:func:`_block_langid`), and
+    per-row Python survives only for a block holding lone surrogates
+    (unencodable to utf-32)."""
+    preds, confs = _ascii_langid(tb)
+    rows = np.flatnonzero(tb.nonascii)
+    texts = [t[:_SAMPLE_CAP] for t in tb.arr.take(rows).to_pylist()]
+    off = np.zeros(len(texts) + 1, np.int64)
+    np.cumsum(np.fromiter(map(len, texts), np.int64, len(texts)), out=off[1:])
     for r0, r1 in iter_spans(off, limit=_BLOCK_CHARS):
         try:
             p, c = _block_langid(texts[r0:r1])
@@ -254,8 +230,8 @@ def _vector_langid(s: pd.Series):
             pc_rows = [li.classify(t or "") for t in texts[r0:r1]]
             p = np.array([x[0] for x in pc_rows], object)
             c = np.array([x[1] for x in pc_rows], np.float64)
-        preds[r0:r1] = p
-        confs[r0:r1] = c
+        preds[rows[r0:r1]] = p
+        confs[rows[r0:r1]] = c
     return preds, confs
 
 
@@ -301,16 +277,21 @@ class LangId:
             return "und", 0.0
         return best, min(1.0, best_hits / len(toks) * 2)
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        s = batch[self.text_col].fillna("")
-        preds, conf = _vector_langid(s)
-        return batch.assign(lang_pred=preds, lang_conf=np.round(conf, 6))
+    def __call__(self, batch: pa.Table, tb: TextBatch | None = None) -> pa.Table:
+        """``batch`` plus ``lang_pred``/``lang_conf``; ``tb`` is the
+        batch's TextBatch when the caller already built one."""
+        if tb is None:
+            tb = TextBatch(batch.column(self.text_col))
+        preds, conf = _vector_langid(tb)
+        return with_columns(
+            batch, {"lang_pred": pa.array(preds, pa.string()), "lang_conf": np.round(conf, 6)}
+        )
 
 
 _PROC_CACHE: dict = {}
 
 
-def _langid_fn(batch: pd.DataFrame, text_col: str = "text") -> pd.DataFrame:
+def _langid_fn(batch: pa.Table, text_col: str = "text") -> pa.Table:
     li = _PROC_CACHE.get(text_col)
     if li is None:
         li = _PROC_CACHE[text_col] = LangId(text_col)
@@ -320,5 +301,6 @@ def _langid_fn(batch: pd.DataFrame, text_col: str = "text") -> pd.DataFrame:
 def lang_id(ds, text_col: str = "text", batch_size: int = 4096):
     """Elastic tasks with per-process cached profiles."""
     return ds.map_batches(
-        _langid_fn, batch_format="pandas", fn_kwargs={"text_col": text_col}, batch_size=batch_size
+        _langid_fn, batch_format="pyarrow", zero_copy_batch=True,
+        fn_kwargs={"text_col": text_col}, batch_size=batch_size,
     )

@@ -62,8 +62,10 @@ def sanitize_array(arr: pa.Array) -> pa.Array:
     for p in FORBIDDEN_PREFIXES[1:]:
         mask = pc.or_(mask, pc.starts_with(trimmed, pattern=p))
     # scalar broadcasts: no O(n) Python list of "'" strings per batch
+    # (separator typed like the text too: a large_string column has no
+    # kernel for a plain-string separator)
     prefixed = pc.binary_join_element_wise(
-        pa.scalar("'", type=trimmed.type), trimmed, ""
+        pa.scalar("'", type=trimmed.type), trimmed, pa.scalar("", type=trimmed.type)
     )
     return pc.if_else(mask, prefixed, trimmed)
 

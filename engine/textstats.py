@@ -1,9 +1,11 @@
 """Text analysis stages over the ``documents``/pages text column:
 token counting, quality scoring (SQL-mirrorable so DuckDB can oracle
-them) -- all vectorized pandas/numpy inside ``map_batches``.
+them) -- vectorized numpy over the Arrow text buffer inside
+``map_batches``.
 
-The six counts come from a numpy byte kernel over the batch's UTF-8
-buffer for every ASCII row; only rows holding a non-ASCII byte go
+The six counts come from a numpy byte kernel over the batch's
+:class:`TextBatch` (its UTF-8 buffer, decoded once and shared with
+langid and simhash) for every ASCII row; only rows holding a non-ASCII byte go
 through the regex path, so the fallback is per row, not per batch
 (:meth:`TextStats.counts`).
 
@@ -24,6 +26,8 @@ Definitions are chosen to be *exactly* expressible in DuckDB (see
 
 from __future__ import annotations
 
+import functools
+import itertools
 import re
 
 import numpy as np
@@ -95,34 +99,46 @@ STOPWORDS = (
 assert len(STOPWORDS) == 25
 assert all(len(w) <= 4 for w in STOPWORDS)
 
-#: stopwords as little-endian uint32 packs of their (<=4) bytes --
-#: enables a fully vectorized token==stopword compare
-_STOP_PACKS = np.sort(
-    np.array(
-        [int.from_bytes(w.encode().ljust(4, b"\0"), "little") for w in STOPWORDS],
-        dtype=np.uint32,
-    )
+
+class KeySet:
+    """A small fixed set of uint64 keys, probed by ONE multiplicative
+    hash per query (the multiplier is searched until no two keys share
+    a slot, with >= 32 slots per key): about 4x cheaper per query than
+    ``searchsorted`` on the sorted keys, measured on ~800k token packs."""
+
+    def __init__(self, keys):
+        self.keys = np.unique(np.asarray(keys, dtype=np.uint64))
+        bits = len(self.keys).bit_length() + 5
+        self.shift = np.uint64(64 - bits)
+        for i in itertools.count():
+            self.mult = np.uint64((0x9E3779B97F4A7C15 * (2 * i + 1)) % (1 << 64))
+            slot = (self.keys * self.mult) >> self.shift
+            if len(np.unique(slot)) == len(self.keys):
+                break
+        self.table = np.zeros(1 << bits, np.uint64)
+        self.table[slot] = self.keys
+        self.index = np.full(1 << bits, -1, np.int64)
+        self.index[slot] = np.arange(len(self.keys))
+
+    def find(self, x: np.ndarray) -> np.ndarray:
+        """Each query's index in the sorted keys, -1 where absent."""
+        slot = (x * self.mult) >> self.shift
+        return np.where(self.table[slot] == x, self.index[slot], -1)
+
+
+#: stopwords as uint64 keys ``pack | len << 32`` (pack: little-endian
+#: uint32 of the word's <=4 bytes). A token is a stopword iff the low 4
+#: bytes of its first 8-byte window, keyed with its length the same way,
+#: is one of them; the length keeps the compare byte-exact ('a\x00'
+#: packs like 'a', but is 2 bytes long).
+_STOP_KEYS = KeySet(
+    [int.from_bytes(w.encode().ljust(4, b"\0"), "little") | len(w) << 32 for w in STOPWORDS]
 )
 
-
-#: byte -> class bits: 1 alpha, 2 digit, 4 ascii-ws, 8 upper.
-#: The whitespace set is Python's unicode ``\s`` restricted to ASCII --
-#: \t\n\v\f\r, space, AND the four separator controls \x1c-\x1f (FS GS
-#: RS US; same set as dedup._WS_BYTES). The byte kernel counts every
-#: ASCII row and the regex path every other row, so the two must agree
-#: byte for byte on ASCII text: any difference would make a row's counts
-#: depend on which path its batch sent it down (omitting \x1c-\x1f once
-#: did exactly that).
-_CLS = np.zeros(256, np.uint8)
-_CLS[65:91] |= 1 | 8
-_CLS[97:123] |= 1
-_CLS[48:58] |= 2
-for _c in b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f ":
-    _CLS[_c] |= 4
-
-#: lowercase map (A-Z -> a-z, everything else identity)
-_LOWER = np.arange(256, dtype=np.uint8)
-_LOWER[65:91] |= 32
+#: _WINDOW_MASK[k] keeps the first k bytes of a little-endian 8-byte window
+_WINDOW_MASK = (
+    ((np.arange(8)[None, :] < np.arange(9)[:, None]) * 255).astype(np.uint8).view(np.uint64).ravel()
+)
 
 #: chunk size for cache blocking: per-span temporaries (~6 live arrays
 #: of span bytes) stay L2-resident, so 32 concurrent workers contend on
@@ -132,20 +148,36 @@ _LOWER[65:91] |= 32
 _SPAN = 128 * 1024
 
 
-def string_buffer(s: pd.Series):
-    """(bytes, normalized int64 offsets) of a pandas string Series
-    (NULL -> ''), or None when the batch cannot form one Arrow string
-    array: lone-surrogate rows, or more text than the int32 string
-    offsets hold. Non-ASCII bytes are returned as they are."""
-    try:
-        arr = pa.array(s, type=pa.string())
-    except (pa.lib.ArrowCapacityError, pa.lib.ArrowInvalid, UnicodeEncodeError):
-        # >2GiB batch OR lone-surrogate rows (unencodable as UTF-8):
-        # regex fallback, not a crash -- the same surrogate-tolerance
-        # policy sql_lower/langid already follow (round-4 ADVICE #1)
-        return None
+def is_ws(x: np.ndarray) -> np.ndarray:
+    """Per byte: Python's unicode ``\\s`` restricted to ASCII --
+    \\t\\n\\v\\f\\r, the four separator controls \\x1c-\\x1f (FS GS RS
+    US) and space. The ONE whitespace set of the byte kernels: the
+    textstats byte path counts every ASCII row and the regex path every
+    other row, so the two must agree byte for byte on ASCII text, or a
+    row's counts would depend on which path its batch sent it down
+    (omitting \\x1c-\\x1f once did exactly that). Non-ASCII bytes are
+    never whitespace: 0x85/0xA0 occur as UTF-8 continuation bytes.
+    Comparisons, not a 256-entry table: the gather costs ~4x more."""
+    return ((x - np.uint8(9)) <= 4) | ((x - np.uint8(28)) <= 4)
+
+
+def windows(lanes: np.ndarray) -> np.ndarray:
+    """Every little-endian 8-byte window of a contiguous uint8 array, as
+    a zero-copy byte-strided uint64 view (one word load per token
+    instead of eight byte loads; pad ``lanes`` to read near its end)."""
+    return np.ndarray(buffer=lanes, dtype=np.uint64, shape=(len(lanes) - 7,), strides=(1,))
+
+
+def string_buffer(arr):
+    """(bytes, normalized int64 offsets) of an Arrow string or
+    large_string array (NULL -> ''). Non-ASCII bytes are returned as
+    they are."""
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
     if arr.null_count:
         arr = pc.fill_null(arr, "")
+    if not len(arr):
+        return np.zeros(0, np.uint8), np.zeros(1, np.int64)
     off_buf, data_buf = arr.buffers()[1], arr.buffers()[2]
     off_dtype = np.int64 if pa.types.is_large_string(arr.type) else np.int32
     off = np.frombuffer(off_buf, dtype=off_dtype)[arr.offset : arr.offset + len(arr) + 1]
@@ -164,6 +196,43 @@ def iter_spans(off: np.ndarray, limit: int = _SPAN):
         r1 = max(r1, r0 + 1)
         yield r0, min(r1, n)
         r0 = min(r1, n)
+
+
+def _runs(mask: np.ndarray, off: np.ndarray):
+    """(starts, ends) of the maximal True runs of ``mask``, cut at every
+    row boundary of ``off`` (a run never spans rows), from ONE nonzero
+    scan over the run edges: +1 opens a run, -1 closes one, and 2 marks
+    a boundary inside a run, which both closes and opens one."""
+    if not len(mask):
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    m = mask.view(np.int8)
+    d = np.empty(len(m) + 1, np.int8)
+    d[0], d[-1] = m[0], -m[-1]
+    np.subtract(m[1:], m[:-1], out=d[1:-1])
+    cut = off[1:-1]
+    cut = cut[(cut > 0) & (cut < len(m))]
+    d[cut[mask[cut - 1] & mask[cut]]] = 2
+    edges = np.flatnonzero(d != 0)
+    ev = d[edges]
+    return edges[ev > 0], edges[ev != 1]
+
+
+def span_runs(member, low: np.ndarray, off: np.ndarray, cap=None):
+    """:func:`_runs` of ``member(bytes)`` over a whole batch, cache-blocked
+    into ``_SPAN``-byte row chunks; with ``cap``, only each row's first
+    ``cap`` bytes count (a run crossing the cap ends there)."""
+    starts, ends = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for r0, r1 in iter_spans(off):
+        a = off[r0]
+        o = off[r0 : r1 + 1] - a
+        m = member(low[a : off[r1]])
+        if cap is not None:
+            for r in np.flatnonzero(np.diff(o) > cap):
+                m[o[r] + cap : o[r + 1]] = False
+        s, e = _runs(m, o)
+        starts.append(s + a)
+        ends.append(e + a)
+    return np.concatenate(starts), np.concatenate(ends)
 
 
 def _per_row(mask: np.ndarray, off: np.ndarray, n: int) -> np.ndarray:
@@ -189,82 +258,100 @@ def _per_row(mask: np.ndarray, off: np.ndarray, n: int) -> np.ndarray:
     return r
 
 
-def _span_counts(b: np.ndarray, off: np.ndarray):
-    """The six counts for one row span (off normalized to b)."""
+class TextBatch:
+    """One batch's text column, decoded ONCE for all three normalize
+    kernels (text stats, language id, simhash), which all start from the
+    Arrow string buffer:
+
+    - ``arr``: the NULL-free Arrow array; ``off``: its int64 offsets;
+    - ``low``: the ASCII-lowercased bytes plus a 15-byte zero pad (so a
+      fixed 16-byte window can be read at any token start);
+    - one whitespace tokenization (:func:`is_ws` runs, never spanning
+      rows): token ``starts``/``ends``, ``tok_off`` (row r owns tokens
+      ``tok_off[r]:tok_off[r+1]``) and ``w0``, each token's first
+      8-byte window masked to its length;
+    - ``nonascii``: rows holding a byte >= 0x80, where the byte kernels
+      do not hold and each kernel takes its unicode path.
+    """
+
+    def __init__(self, texts):
+        if not isinstance(texts, (pa.Array, pa.ChunkedArray)):
+            texts = pa.array(texts, type=pa.string())
+        if isinstance(texts, pa.ChunkedArray):
+            texts = texts.combine_chunks()
+        self.arr = pc.fill_null(texts, "") if texts.null_count else texts
+        low, self.off = string_buffer(pc.ascii_lower(self.arr))
+        self.n = len(self.off) - 1
+        self.low = np.concatenate([low, np.zeros(15, np.uint8)])
+        self.starts, self.ends = span_runs(lambda x: ~is_ws(x), self.low, self.off)
+        self.tok_off = np.searchsorted(self.starts, self.off)
+        tl = np.minimum(self.ends - self.starts, 8)
+        self.w0 = windows(self.low)[self.starts] & _WINDOW_MASK[tl]
+
+    @functools.cached_property
+    def nonascii(self) -> np.ndarray:
+        hi = self.low[: self.off[-1]] >= 0x80
+        return _per_row(hi, self.off, self.n) > 0 if hi.any() else np.zeros(self.n, bool)
+
+
+def with_columns(batch: pa.Table, cols: dict) -> pa.Table:
+    """``batch`` with each named column replaced where it is or appended
+    (the ``DataFrame.assign`` order)."""
+    for name, values in cols.items():
+        if not isinstance(values, (pa.Array, pa.ChunkedArray)):
+            values = pa.array(values)
+        i = batch.schema.get_field_index(name)
+        batch = batch.set_column(i, name, values) if i >= 0 else batch.append_column(name, values)
+    return batch
+
+
+def _span_counts(low: np.ndarray, off: np.ndarray):
+    """(n_words, n_alpha, n_punct) of one row span of lowered bytes (off
+    normalized to it)."""
     n = len(off) - 1
-    cls = _CLS[b]
-    alpha = (cls & 1) != 0
-    digit = (cls & 2) != 0
-    ws = (cls & 4) != 0
-    punct = cls == 0
-    nonws = ~ws
-
-    def run_starts(mask):
-        prev = np.empty_like(mask)
-        if len(mask):
-            prev[0] = False
-            prev[1:] = mask[:-1]
-            idx = off[:-1]
-            prev[idx[idx < len(mask)]] = False  # row boundary: no prev char
-        return mask & ~prev
-
-    tok_starts = run_starts(nonws)
-    n_chars = off[1:] - off[:-1]
-    n_alpha = _per_row(alpha, off, n)
-    n_punct = _per_row(punct, off, n)
-    n_tokens = _per_row(tok_starts, off, n)
-    n_words = _per_row(run_starts(alpha), off, n) + _per_row(run_starts(digit), off, n) + n_punct
-
-    # stopword count: token length from starts/ends, short tokens packed
-    # into uint32 and compared against the precomputed stopword packs
-    si = np.flatnonzero(tok_starts)
-    if len(si):
-        nxt = np.empty_like(nonws)
-        nxt[-1] = False
-        nxt[:-1] = nonws[1:]
-        idx = off[1:] - 1  # last char of each row has no next char
-        nxt[idx[(idx >= 0) & (idx < len(nxt))]] = False
-        ei = np.flatnonzero(nonws & ~nxt)
-        lengths = ei - si + 1
-        short = lengths <= 4
-        si_s, len_s = si[short], lengths[short]
-        bp = np.concatenate([_LOWER[b], np.zeros(4, np.uint8)])
-        in_len = np.arange(4)[None, :] < len_s[:, None]
-        g = bp[si_s[:, None] + np.arange(4)[None, :]]
-        g = np.where(in_len, g, 0).astype(np.uint32)
-        packs = g[:, 0] | (g[:, 1] << 8) | (g[:, 2] << 16) | (g[:, 3] << 24)
-        # a REAL NUL byte inside the token packs like the zero padding,
-        # so 'a\x00' would alias 'a'; no stopword contains NUL, so any
-        # in-length zero byte disqualifies (byte-exact regex parity)
-        is_stop = np.isin(packs, _STOP_PACKS) & ~((g == 0) & in_len).any(axis=1)
-        rows = np.searchsorted(off, si_s[is_stop], side="right") - 1
-        n_stop = np.bincount(rows, minlength=n).astype(np.int64)
-    else:
-        n_stop = np.zeros(n, np.int64)
-    return n_chars, n_tokens, n_words, n_alpha, n_punct, n_stop
+    alpha = (low - np.uint8(97)) <= 25
+    digit = (low - np.uint8(48)) <= 9
+    punct = ~(alpha | digit | is_ws(low))
+    # byte class 1 letter, 2 digit, 0 other: a word is every punct byte
+    # plus every letter or digit run, which starts where the class
+    # changes (the row's first byte has no previous byte)
+    k = alpha.view(np.uint8) + (digit.view(np.uint8) << 1)
+    prev = np.empty_like(k)
+    if len(k):
+        prev[0] = 0
+        prev[1:] = k[:-1]
+        idx = off[:-1]
+        prev[idx[idx < len(k)]] = 0
+    word = punct | ((k != 0) & (k != prev))
+    return _per_row(word, off, n), _per_row(alpha, off, n), _per_row(punct, off, n)
 
 
-def _byte_counts(b: np.ndarray, off: np.ndarray):
-    """All six counts in O(bytes) numpy over a :func:`string_buffer`
-    buffer -- no regex. Exact for every row whose bytes are all ASCII;
-    a row holding a non-ASCII byte gets counts of no meaning, which
+def _byte_counts(tb: TextBatch):
+    """All six counts in O(bytes) numpy over a :class:`TextBatch` -- no
+    regex. Exact for every row whose bytes are all ASCII; a row holding
+    a non-ASCII byte gets counts of no meaning, which
     :meth:`TextStats.counts` overwrites (byte-level char classes and
     Python's unicode ``\\s``/token semantics only coincide on ASCII).
     Tokens never cross a row boundary, so such a row cannot change its
     neighbours' counts.
 
     Definitions mirror the regex path EXACTLY (fuzz-tested): token =
-    ``\\S+`` run, word = letter-run | digit-run | single other-non-ws
-    char, stopword = whole token equal to one of the 25 words after
-    ASCII lowercasing. Work is cache-blocked into ``_SPAN``-byte row
-    chunks (see the constant's comment)."""
-    if len(b) <= _SPAN:
-        return _span_counts(b, off)
+    ``\\S+`` run (the batch's shared tokenization), word = letter-run |
+    digit-run | single other-non-ws char, stopword = whole token equal
+    to one of the 25 words after ASCII lowercasing. The per-byte work is
+    cache-blocked into ``_SPAN``-byte row chunks (see the constant's
+    comment)."""
+    off = tb.off
     parts = [
-        _span_counts(b[off[r0] : off[r1]], off[r0 : r1 + 1] - off[r0])
+        _span_counts(tb.low[off[r0] : off[r1]], off[r0 : r1 + 1] - off[r0])
         for r0, r1 in iter_spans(off)
     ]
-    return tuple(np.concatenate([p[i] for p in parts]) for i in range(6))
+    n_words, n_alpha, n_punct = (
+        np.concatenate([np.zeros(0, np.int64)] + [p[i] for p in parts]) for i in range(3)
+    )
+    key = (tb.w0 & np.uint64(0xFFFFFFFF)) | ((tb.ends - tb.starts).astype(np.uint64) << np.uint64(32))
+    n_stop = _per_row(_STOP_KEYS.find(key) >= 0, tb.tok_off, tb.n)
+    return np.diff(off), np.diff(tb.tok_off), n_words, n_alpha, n_punct, n_stop
 
 
 class TextStats:
@@ -282,30 +369,25 @@ class TextStats:
         alt = "|".join(sorted(STOPWORDS, key=len, reverse=True))
         self.stop_rx = re.compile(rf"(?<![^\s])(?:{alt})(?![^\s])")
 
-    def counts(self, s: pd.Series):
+    def counts(self, tb: TextBatch):
         """The six counts (n_chars, n_tokens, n_words, n_alpha, n_punct,
-        n_stop) of a NULL-free string Series as int64 arrays. ASCII rows
-        take the byte kernel, the rest :meth:`regex_counts`; each row
-        gets what it would get in a batch of its own."""
-        buf = string_buffer(s)
-        if buf is None:
-            return self.regex_counts(s)
-        b, off = buf
-        n = len(off) - 1
-        nonascii = _per_row(b >= 0x80, off, n) > 0
-        if n and nonascii.all():
-            return self.regex_counts(s)
-        out = _byte_counts(b, off)
-        rows = np.flatnonzero(nonascii)
+        n_stop) of a :class:`TextBatch` as int64 arrays. ASCII rows take
+        the byte kernel, the rest :meth:`regex_counts`; each row gets
+        what it would get in a batch of its own."""
+        rows = np.flatnonzero(tb.nonascii)
+        if tb.n and len(rows) == tb.n:
+            return self.regex_counts(tb.arr)
+        out = _byte_counts(tb)
         if len(rows):
-            for a, r in zip(out, self.regex_counts(s.iloc[rows])):
+            for a, r in zip(out, self.regex_counts(tb.arr.take(rows))):
                 a[rows] = r
         return out
 
-    def regex_counts(self, s: pd.Series):
-        """The six counts by Python regex over unicode text: the path
-        for non-ASCII rows and the reference the byte kernel is tested
-        against."""
+    def regex_counts(self, arr: pa.Array):
+        """The six counts by Python regex over the unicode text of a
+        NULL-free Arrow string array: the path for non-ASCII rows and
+        the reference the byte kernel is tested against."""
+        s = arr.to_pandas()
         n_chars = s.str.len()
         n_tokens = s.str.count(self.tok)
         n_words = s.str.count(self.word)
@@ -316,39 +398,31 @@ class TextStats:
         # stopword the oracle's lower('İT') = 'it' finds. ASCII rows
         # (the byte kernel's) can never hold such codepoints, so the
         # two paths stay mutually consistent.
-        try:
-            low = pd.Series(
-                pc.utf8_lower(pa.array(s, type=pa.string())).to_pandas().values,
-                index=s.index,
-            )
-        except (pa.lib.ArrowCapacityError, pa.lib.ArrowInvalid, UnicodeEncodeError):
-            # >2GiB block or surrogate-bearing rows: degrade to the
-            # Python lower per-batch rather than crash (ADVICE #1)
-            low = s.str.lower()
-        n_stop = low.str.count(self.stop_rx)
+        n_stop = pc.utf8_lower(arr).to_pandas().str.count(self.stop_rx)
         return tuple(
             c.to_numpy().astype(np.int64)
             for c in (n_chars, n_tokens, n_words, n_alpha, n_punct, n_stop)
         )
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        n_chars, n_tokens, n_words, n_alpha, n_punct, n_stop = self.counts(
-            batch[self.text_col].fillna("")
-        )
+    def __call__(self, batch: pa.Table, tb: TextBatch | None = None) -> pa.Table:
+        """``batch`` plus the seven stats columns; ``tb`` is the batch's
+        :class:`TextBatch` when the caller already built one."""
+        if tb is None:
+            tb = TextBatch(batch.column(self.text_col))
+        n_chars, n_tokens, n_words, n_alpha, n_punct, n_stop = self.counts(tb)
         with np.errstate(divide="ignore", invalid="ignore"):
             alpha_ratio = np.where(n_chars > 0, n_alpha / n_chars, 0.0)
             punct_ratio = np.where(n_chars > 0, n_punct / n_chars, 0.0)
             stop_ratio = np.where(n_tokens > 0, n_stop / n_tokens, 0.0)
-        batch = batch.assign(
-            n_chars=n_chars,
-            n_tokens=n_tokens,
-            n_words=n_words,
-            alpha_ratio=alpha_ratio,
-            punct_ratio=punct_ratio,
-            stop_ratio=stop_ratio,
-        )
-        batch["quality"] = quality_score(n_tokens, alpha_ratio, punct_ratio, stop_ratio)
-        return batch
+        return with_columns(batch, {
+            "n_chars": n_chars,
+            "n_tokens": n_tokens,
+            "n_words": n_words,
+            "alpha_ratio": alpha_ratio,
+            "punct_ratio": punct_ratio,
+            "stop_ratio": stop_ratio,
+            "quality": quality_score(n_tokens, alpha_ratio, punct_ratio, stop_ratio),
+        })
 
 
 def quality_score(n_tokens, alpha_ratio, punct_ratio, stop_ratio) -> np.ndarray:
@@ -367,7 +441,7 @@ def quality_score(n_tokens, alpha_ratio, punct_ratio, stop_ratio) -> np.ndarray:
 _PROC_CACHE: dict = {}
 
 
-def _stats_fn(batch: pd.DataFrame, text_col: str = "text") -> pd.DataFrame:
+def _stats_fn(batch: pa.Table, text_col: str = "text") -> pa.Table:
     """Task-based variant: state built once per worker process (module
     cache) -- elastic like tasks, amortized like an actor."""
     st = _PROC_CACHE.get(text_col)
@@ -380,10 +454,12 @@ def text_stats(ds, text_col: str = "text", batch_size: int = 4096):
     """Elastic stateless tasks with per-process cached state."""
     return ds.map_batches(
         _stats_fn,
-        batch_format="pandas",
+        batch_format="pyarrow",
+        zero_copy_batch=True,
         fn_kwargs={"text_col": text_col},
         batch_size=batch_size,
     )
+
 
 
 # ---------------------------------------------------------------------------

@@ -577,6 +577,49 @@ def test_fused_sanitize_matches_staged(ray_session):
     pd.testing.assert_frame_equal(a, b.astype(a.dtypes.to_dict()))
 
 
+#: the normalize stage's derived columns, in order, with their types
+NORMALIZE_COLUMNS = [
+    ("n_chars", pa.int64()), ("n_tokens", pa.int64()), ("n_words", pa.int64()),
+    ("alpha_ratio", pa.float64()), ("punct_ratio", pa.float64()),
+    ("stop_ratio", pa.float64()), ("quality", pa.float64()),
+    ("lang_pred", pa.string()), ("lang_conf", pa.float64()), ("simhash", pa.uint64()),
+]
+
+
+@pytest.mark.parametrize("sanitize_cols", [(), ("text",)])
+def test_normalize_stage_null_text_and_empty_batches(ray_session, sanitize_cols):
+    """An all-NULL text batch and a 0-row batch run through the normalize
+    stage, and every input column keeps its type: an all-NULL column is
+    not retyped to ``null`` and ``large_string`` text stays
+    ``large_string``. The derived columns follow in a fixed order."""
+    from engine.jobs import normalize_stage
+
+    schema = pa.schema([
+        ("url", pa.string()), ("warc_ts", pa.timestamp("us")), ("html", pa.binary()),
+        ("text", pa.large_string()), ("lang", pa.string()),
+    ])
+    want = pa.schema(list(schema) + [pa.field(n, t) for n, t in NORMALIZE_COLUMNS])
+    null_row = pa.table({f.name: pa.nulls(1, f.type) for f in schema}, schema=schema)
+    stage = normalize_stage(ray.data.from_arrow(null_row), CFG, sanitize_cols=sanitize_cols)
+    out = pa.concat_tables(ray.get(stage.to_arrow_refs()))
+    assert out.schema.remove_metadata() == want
+    row = out.to_pylist()[0]
+    assert row["text"] == ("" if sanitize_cols else None)
+    assert (row["n_chars"], row["n_tokens"], row["lang_pred"], row["simhash"]) == (0, 0, "und", 0)
+
+    # Ray hands a stage no batch for a 0-row block, so the stage's batch
+    # function is called directly, with the arguments the stage gives it
+    class Capture:
+        def map_batches(self, fn, **kw):
+            self.fn, self.kw = fn, kw
+            return self
+
+    cap = normalize_stage(Capture(), CFG, sanitize_cols=sanitize_cols)
+    assert cap.kw["batch_format"] == "pyarrow"
+    empty = cap.fn(schema.empty_table(), **cap.kw["fn_kwargs"])
+    assert empty.num_rows == 0 and empty.schema.remove_metadata() == want
+
+
 def test_full_maintenance_normalize_fused(tmp_table_root, ray_session):
     """normalize=True runs the fused normalize+sanitize ingest: output
     carries the normalize columns AND sanitized text, identical rows to

@@ -138,10 +138,10 @@ def test_gc_prunes_obsolete_job_logs_and_tmp_files(tmp_path, ray_session):
 def test_textstats_nul_byte_token_is_not_a_stopword():
     """'a\\x00' packs like zero-padded 'a' in the fast path; byte parity
     with the regex path requires NUL-bearing tokens to never count."""
-    from engine.textstats import _byte_counts, string_buffer
+    from engine.textstats import TextBatch, _byte_counts
 
-    s = pd.Series(["a\x00 b", "the\x00 x", "of", "to\x00\x00"])
-    fast = _byte_counts(*string_buffer(s))
+    s = pa.array(["a\x00 b", "the\x00 x", "of", "to\x00\x00"])
+    fast = _byte_counts(TextBatch(s))
     assert list(fast[5]) == [0, 0, 1, 0]
 
 

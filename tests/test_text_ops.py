@@ -9,16 +9,17 @@ import re
 import ray.data
 
 from engine.fingerprint import fingerprint64, fingerprint_stage, rolling_hashes, winnow
-from engine.langid import LangId, lang_id
+from engine.dedup import simhash_texts
+from engine.langid import _SAMPLE_CAP, LangId, lang_id
 from engine.multimodal import decode_html, html_to_text_batch
-from engine.textstats import TextStats, text_stats
+from engine.textstats import TextBatch, TextStats, text_stats
 
 
 # --- textstats -------------------------------------------------------------
 
 def test_textstats_counts():
     st = TextStats()
-    df = st(pd.DataFrame({"text": ["the cat sat on the mat!", "", None, "a b-c 12.5"]}))
+    df = st(pa.table({"text": pa.array(["the cat sat on the mat!", "", None, "a b-c 12.5"])})).to_pandas()
     assert df.n_tokens.tolist() == [6, 0, 0, 3]
     assert df.n_chars.tolist() == [23, 0, 0, 10]
     # words: the|cat|sat|on|the|mat|! -> 7 ; a|b|-|c|12|.|5 -> 7
@@ -118,7 +119,7 @@ def test_textstats_ascii_fast_path_parity():
     import numpy as np
     import pandas as pd
 
-    from engine.textstats import TextStats, _byte_counts, string_buffer
+    from engine.textstats import TextStats, _byte_counts
 
     ts = TextStats()
     cases = ["", " ", "the", " the ", "the the", "The.", "a a a a", "  ",
@@ -134,8 +135,8 @@ def test_textstats_ascii_fast_path_parity():
     cases.append("the " * 50000)  # oversized single-row span, sums > int16
     cases.append("a" * 140000)  # oversized all-alpha row
     cases += ["", ""]  # trailing empty rows: the reduceat sentinel edge
-    s = pd.Series(cases)
-    fast = _byte_counts(*string_buffer(s))
+    s = pa.array(cases, pa.string())
+    fast = _byte_counts(TextBatch(s))
     ref = ts.regex_counts(s)
     for name, f, r in zip(
         ["n_chars", "n_tokens", "n_words", "n_alpha", "n_punct", "n_stop"], fast, ref
@@ -172,41 +173,58 @@ def _mixed_batch(rng, n):
 
 
 def test_textstats_mixed_batch_matches_regex_path():
-    # a batch mixing ASCII and non-ASCII rows takes the byte kernel for
-    # the ASCII rows and the regex path for the rest; the output frame
-    # must equal the all-regex one row for row (every count + quality)
+    # a batch mixing ASCII and non-ASCII rows takes the byte kernels for
+    # the ASCII rows and the unicode paths for the rest; every row must
+    # get what the per-row reference gives it: text stats equal the
+    # all-regex path (every count + quality), langid equals
+    # LangId.classify and simhash equals a batch of that row alone.
+    # Rows longer than the langid sample cap hold a letter run that
+    # crosses it: 'dezzz' is cut to the profile word 'de' there, and the
+    # words past the cap do not count.
     import numpy as np
-    import pandas as pd
 
-    from engine.textstats import TextStats
+    from engine.textstats import TextStats, _byte_counts
 
     rows = _mixed_batch(np.random.default_rng(11), 3000)
     rows += _WIDE_WS + ["the" + w + "of" for w in _WIDE_WS]
     rows += ["İt İS the", "\u212a the", "the中文 of 中文", "the\x00 of", None, ""]
-    df = pd.DataFrame({"text": rows, "id": range(len(rows))})
-    s = df["text"].fillna("")
-    nonascii = np.array([any(ord(c) >= 0x80 for c in t) for t in s])
-    assert 0 < nonascii.sum() < len(s)
+    rows += [" " * (_SAMPLE_CAP - 2) + "dezzz the of",        # ASCII, cut
+             "é" + " " * (_SAMPLE_CAP - 3) + "dezzz the of",  # non-ASCII, cut
+             "the " * 1200 + "de la que", "ü" + "the " * 1200]
+    tbl = pa.table({"text": pa.array(rows, pa.string()), "id": range(len(rows))})
+    tb = TextBatch(tbl.column("text"))
+    nonascii = np.array([any(ord(c) >= 0x80 for c in (t or "")) for t in rows])
+    assert 0 < nonascii.sum() < len(rows)
+    assert (tb.nonascii == nonascii).all()
 
     ts, ref_stage = TextStats(), TextStats()
-    ref_stage.counts = ref_stage.regex_counts  # the pure regex path
+    ref_stage.counts = lambda tb: ref_stage.regex_counts(tb.arr)  # the pure regex path
     for name, a, r in zip(
         ["n_chars", "n_tokens", "n_words", "n_alpha", "n_punct", "n_stop"],
-        ts.counts(s), ref_stage.regex_counts(s),
+        ts.counts(tb), ref_stage.regex_counts(tb.arr),
     ):
         assert (a == r).all(), name
-    exp = ref_stage(df)
-    assert ts(df).equals(exp)
+    exp = ref_stage(tbl)
+    assert ts(tbl).equals(exp)
     # the byte kernel alone miscounts the non-ASCII rows, so the
     # equality above is not vacuous
-    from engine.textstats import _byte_counts, string_buffer
-
-    raw = _byte_counts(*string_buffer(s))
+    raw = _byte_counts(tb)
     assert (raw[0][nonascii] != exp["n_chars"].to_numpy()[nonascii]).any()
 
     # all-ASCII, all-non-ASCII and empty batches take one path each
-    for part in (df[~nonascii], df[nonascii], df.iloc[:0]):
+    for part in (tbl.filter(pa.array(~nonascii)), tbl.filter(pa.array(nonascii)), tbl.slice(0, 0)):
         assert ts(part).equals(ref_stage(part))
+
+    li = LangId()
+    got = li(tbl)
+    preds, confs = got["lang_pred"].to_pylist(), got["lang_conf"].to_pylist()
+    for i, t in enumerate(rows):
+        p, c = li.classify(t or "")
+        assert preds[i] == p and confs[i] == round(c, 6), (i, (t or "")[:40], preds[i], p)
+    assert preds[-4:] == ["es", "es", "en", "en"]  # "de" is es first in dict order
+
+    sig = simhash_texts(tbl.column("text"))
+    assert sig.tolist() == [int(simhash_texts([t])[0]) for t in rows]
 
 
 def test_textstats_row_counts_independent_of_batch():
@@ -218,12 +236,12 @@ def test_textstats_row_counts_independent_of_batch():
     from engine.textstats import TextStats
 
     rows = _mixed_batch(np.random.default_rng(12), 300)
-    df = pd.DataFrame({"text": rows})
+    tbl = pa.table({"text": pa.array(rows, pa.string())})
     ts = TextStats()
-    batch = ts(df)
+    batch = ts(tbl).to_pandas()
     cols = ["n_chars", "n_tokens", "n_words", "alpha_ratio", "punct_ratio",
             "stop_ratio", "quality"]
-    alone = pd.concat([ts(df.iloc[[i]]) for i in range(len(df))])
+    alone = pd.concat([ts(tbl.slice(i, 1)).to_pandas() for i in range(len(rows))], ignore_index=True)
     assert batch[cols].equals(alone[cols])
 
 
@@ -232,7 +250,7 @@ def test_string_buffer_keeps_non_ascii_bytes():
 
     from engine.textstats import string_buffer
 
-    b, off = string_buffer(pd.Series(["héllo", None, "a"]))
+    b, off = string_buffer(pa.array(["héllo", None, "a"]))
     assert bytes(b) == "héllo".encode() + b"a"
     assert off.tolist() == [0, 6, 6, 7]
 
@@ -240,8 +258,9 @@ def test_string_buffer_keeps_non_ascii_bytes():
 def test_langid_vectorized_parity():
     # the default-on vectorized path must match classify() exactly for
     # ANY content -- ASCII, accents, CJK, Cyrillic, mixed-script, the
-    # 4000-char sample cap, lowercase 1->N expansion (lang_id is a hard
-    # oracle; ties break by profile dict order)
+    # 4000-char sample cap, İ (U+0130, which str.lower expands 1->2;
+    # the SQL lower keeps it one codepoint) (lang_id is a hard oracle;
+    # ties break by profile dict order)
     import numpy as np
     import pandas as pd
 
@@ -272,12 +291,28 @@ def test_langid_vectorized_parity():
     cases.append(("the " * 1500) + ("de la " * 500))  # 4000-char sample cap
     cases.append("x" * 5000)
     cases.append("語" * 300 + " the of and" * 10)     # script + latin tail
-    s = pd.Series(cases)
-    preds, confs = _vector_langid(s)
-    for i, t in enumerate(s):
+    preds, confs = _vector_langid(TextBatch(pa.array(cases, pa.string())))
+    for i, t in enumerate(cases):
         rp, rc = li.classify(t or "")
         assert preds[i] == rp, (i, t[:40], preds[i], rp)
         assert abs(confs[i] - rc) < 1e-12, (i, t[:40], confs[i], rc)
+
+
+def test_arrow_utf8_lower_is_one_to_one():
+    # langid's utf-32 path lowers a whole block string at once and keeps
+    # the row offsets of the original: that is only sound while Arrow's
+    # utf8_lower maps every Unicode scalar value to exactly ONE
+    # codepoint. An Arrow upgrade that breaks it must fail here, not
+    # silently misalign the offsets.
+    import pyarrow.compute as pc
+
+    from engine.textstats import sql_lower
+
+    chars = [chr(c) for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF]
+    assert len(chars) == 1_112_064
+    low = pc.utf8_lower(pa.array(chars, pa.string()))
+    assert pc.all(pc.equal(pc.utf8_length(low), 1)).as_py()
+    assert len(sql_lower("".join(chars))) == len(chars)
 
 
 def test_fingerprint_oracle_sql_parity(ray_session, sf_dir):
@@ -452,27 +487,6 @@ def test_langid_classify_tolerates_lone_surrogate(ray_session):
     li = LangId()
     lang, conf = li.classify("the of and a to in is \ud800 you that it")
     assert lang == "en"
-
-
-def test_textstats_tolerates_lone_surrogate():
-    """A surrogate-bearing in-memory batch must degrade to the regex /
-    Python-lower fallbacks per batch, not crash the stage (round-4
-    ADVICE #1: string_buffer and the stopword lower both encode to
-    UTF-8 and previously let UnicodeEncodeError escape)."""
-    st = TextStats()
-    bad = "caf\ud800e the and is"  # lone high surrogate mid-token
-    df = pd.DataFrame({"text": [bad, "the quick brown fox", ""]})
-    out = st(df)
-    assert len(out) == 3
-    assert (out["n_tokens"] >= 0).all()
-    # the clean row still counts its stopwords through the fallback
-    assert out.loc[1, "n_tokens"] == 4
-
-
-def test_string_buffer_surrogate_returns_none():
-    from engine.textstats import string_buffer
-
-    assert string_buffer(pd.Series(["ok", "bad\udfff"])) is None
 
 
 def test_trigram_entropy_matches_reference():
