@@ -34,6 +34,7 @@ import sys
 import time
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, HERE)
 KEYS = ("stage", "textstats", "langid", "simhash", "sanitize")
 
 
@@ -41,12 +42,14 @@ def _host() -> dict:
     import numpy
     import pyarrow
 
+    from perfbench.run import _nproc
+
     t0 = time.perf_counter()
     acc = 0
     for i in range(3_000_000):
         acc += i * i % 7
     return {
-        "nproc": len(os.sched_getaffinity(0)),
+        "nproc": _nproc(),
         "python": platform.python_version(),
         "pyarrow": pyarrow.__version__,
         "numpy": numpy.__version__,

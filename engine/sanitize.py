@@ -55,6 +55,8 @@ def sanitize_array(arr: pa.Array) -> pa.Array:
     """
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
+    if pa.types.is_null(arr.type):  # an all-NULL column typed null
+        arr = arr.cast(pa.string())
     filled = pc.fill_null(arr, "")
     trimmed = pc.utf8_trim(filled, characters=PY_STR_WHITESPACE)
     # starts_with any of the four forbidden prefixes

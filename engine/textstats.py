@@ -279,6 +279,8 @@ class TextBatch:
             texts = pa.array(texts, type=pa.string())
         if isinstance(texts, pa.ChunkedArray):
             texts = texts.combine_chunks()
+        if pa.types.is_null(texts.type):  # an all-NULL column typed null
+            texts = texts.cast(pa.string())
         self.arr = pc.fill_null(texts, "") if texts.null_count else texts
         low, self.off = string_buffer(pc.ascii_lower(self.arr))
         self.n = len(self.off) - 1

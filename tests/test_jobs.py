@@ -619,6 +619,11 @@ def test_normalize_stage_null_text_and_empty_batches(ray_session, sanitize_cols)
     empty = cap.fn(schema.empty_table(), **cap.kw["fn_kwargs"])
     assert empty.num_rows == 0 and empty.schema.remove_metadata() == want
 
+    # a text column typed null (what Arrow infers for all-None values)
+    typed_null = cap.fn(pa.table({"text": pa.nulls(2)}), **cap.kw["fn_kwargs"])
+    assert typed_null["n_chars"].to_pylist() == [0, 0]
+    assert typed_null["text"].to_pylist() == (["", ""] if sanitize_cols else [None, None])
+
 
 def test_full_maintenance_normalize_fused(tmp_table_root, ray_session):
     """normalize=True runs the fused normalize+sanitize ingest: output
