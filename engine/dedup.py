@@ -1,14 +1,17 @@
 """Deduplication operators over the ``documents`` table.
 
-Five families (prompt-mandated first-class components):
-
 - :func:`exact_dedup`          hash-partition + per-group first
 - :func:`minhash_dedup_pairs`  shingle -> minhash -> banded LSH -> verify
 - :func:`simhash_signatures` / :func:`simhash_dup_pairs`  64-bit simhash,
   band-bucketed Hamming candidates
+- :func:`dedup_lines_global`   C4-style cross-document line dedup
 - :func:`_pairwise_jaccard`    word-n-gram Jaccard verification kernel
   (vectorized over a whole pair batch)
 - embedding-cosine near-dup lives in :mod:`engine.similarity`
+
+The two near-dup pipelines build their band rows here and enumerate
+candidates with :func:`engine.lsh.collision_pairs`, the one collision
+fold they share with :func:`engine.similarity.lsh_bucketed_pairs`.
 
 All hashing is deterministic (crc32 + fixed multiply-shift mixers, no
 process-seeded randomness), so results are reproducible across runs and
@@ -38,6 +41,7 @@ import ray
 import ray.data
 
 from engine.exchange import bucketed
+from engine.lsh import _input_bytes, _pairs_buckets, collision_pairs, keyed
 from engine.textstats import TOKEN_PATTERN as _TOKEN_PATTERN  # noqa: E402
 from engine.textstats import _WINDOW_MASK, TextBatch, windows  # noqa: E402
 
@@ -128,9 +132,9 @@ def hash64_keys(keys) -> np.ndarray:
     """64-bit hash of a key column of ANY type -- the ONE dispatch for
     every consumer whose batches must agree on a key's hash within a
     run: every :func:`engine.exchange.bucketed` exchange (MERGE, as-of
-    join, windows, top-k, the dedup/LSH and line-dedup pipelines,
-    component propagation) and :func:`engine.exchange.bucket_ids`
-    (the streaming-upsert shard routing). Arrow string / large_string
+    join, windows, top-k, the dedup/LSH and line-dedup pipelines) and
+    :func:`engine.exchange.bucket_ids` (the streaming-upsert shard
+    routing). Arrow string / large_string
     columns ride :func:`hash64_strings` (zero per-row Python); other
     types fall back to the pandas object hash. Accepts ``pa.Array`` /
     ``pa.ChunkedArray`` / ``pd.Series``. Every NULL hashes to
@@ -575,7 +579,7 @@ def _minhash_fn(batch: pa.Table, num_perm: int, shingle_k: int, text_col: str, i
     st = _MINHASH_CACHE.get(key)
     if st is None:
         st = _MINHASH_CACHE[key] = MinHasher(num_perm, shingle_k, text_col, id_col)
-    return st(batch)
+    return st(keyed(batch, id_col))
 
 
 def _band_rows(sig_table: pa.Table, bands: int, id_col: str) -> pa.Table:
@@ -625,116 +629,6 @@ def _band_rows(sig_table: pa.Table, bands: int, id_col: str) -> pa.Table:
     )
 
 
-_EMPTY_PAIRS = {
-    "id_a": pa.array([], pa.int64()),
-    "id_b": pa.array([], pa.int64()),
-}
-
-
-def _input_bytes(ds):
-    """On-disk bytes of the dataset's source files (metadata only --
-    never executes the dataset), or None when unknowable."""
-    import os
-
-    try:
-        files = ds.input_files()
-        return sum(os.path.getsize(f) for f in files) if files else None
-    except Exception:
-        return None
-
-
-def _pairs_buckets(ds, explicit=None) -> int:
-    """Shuffle bucket count for the LSH pipelines: ~8 MB of input bytes
-    per bucket (floor 8, cap 4096) -- a pure function of the DATA with
-    no cluster-size term. Callers with derived inputs can pass
-    ``explicit``.
-
-    The earlier CPU floor (min(64, cpus)) made the dataflow depend on
-    the session size: a 5 MB corpus got 8 fold buckets at 8 CPUs but 32
-    at 32 CPUs, and on micro inputs those extra near-empty groupby
-    partitions were pure fixed cost (measured 2.85 s -> 1.46 s at 32
-    CPUs when pinned back to 8; identical pair output). Mid-size
-    parallelism now comes from the finer 8 MB granularity instead --
-    the band rows expand the input several-fold, so 8 MB of source
-    text is real fold work -- and at 100 TB the cap binds long before
-    either term matters (raise DataContext.target_max_block_size
-    there, not bucket count).
-    """
-    if explicit:
-        return int(explicit)
-    nbytes = _input_bytes(ds)
-    by_bytes = (nbytes // (8 << 20) + 1) if nbytes else 1
-    return int(min(4096, max(by_bytes, 8)))
-
-
-def _segment_pairs(starts, lens, max_cell=None):
-    """All within-segment (i < j) index pairs, fully vectorized.
-
-    ``starts``/``lens`` describe contiguous segments (LSH collision
-    cells after a sort); the return is two int64 index arrays (a, b)
-    with a < b, covering every pair inside every segment -- no Python
-    loop over cells OR pairs (round-3 VERDICT #1: the per-pair append
-    loop was the last interpreter-bound fold in the repo).
-
-    ``max_cell`` bounds the O(m^2) hot-cell blowup: segments longer
-    than the cap are split into chunks of ``max_cell`` with a
-    ONE-MEMBER OVERLAP between consecutive chunks, so output stays
-    O(m * max_cell) while every emitted pair is a genuine within-chunk
-    pair (verifiable downstream) and a mutually-similar cluster stays
-    connected through the overlap chain. This replaces the old star
-    pattern (hub -> member), whose unverified hub could sever true
-    near-dups from their component (the round-2 ADVICE recall trap).
-    """
-    if max_cell is not None and max_cell < 2:
-        raise ValueError(f"max_cell must be >= 2 (got {max_cell})")
-    starts = np.asarray(starts, dtype=np.int64)
-    lens = np.asarray(lens, dtype=np.int64)
-    keep = lens >= 2
-    starts, lens = starts[keep], lens[keep]
-    if max_cell is not None and len(lens):
-        big = lens > max_cell
-        if big.any():
-            step = max_cell - 1
-            cs, cl = [starts[~big]], [lens[~big]]
-            for s, ln in zip(starts[big].tolist(), lens[big].tolist()):
-                n_chunks = -(-(ln - 1) // step)  # ceil; last chunk len >= 2
-                c0 = s + step * np.arange(n_chunks, dtype=np.int64)
-                c1 = np.minimum(c0 + max_cell, s + ln)
-                cs.append(c0)
-                cl.append(c1 - c0)
-            starts = np.concatenate(cs)
-            lens = np.concatenate(cl)
-    if not len(starts):
-        z = np.empty(0, dtype=np.int64)
-        return z, z
-    # two-level expansion: element at local index i of a length-L
-    # segment is 'a' for the (L-1-i) elements after it
-    m1 = lens - 1
-    total1 = int(m1.sum())
-    grp1 = np.repeat(np.cumsum(m1) - m1, m1)
-    ramp1 = np.arange(total1, dtype=np.int64) - grp1
-    elem = np.repeat(starts, m1) + ramp1
-    counts = np.repeat(m1, m1) - ramp1
-    total2 = int(counts.sum())
-    grp2 = np.repeat(np.cumsum(counts) - counts, counts)
-    ramp2 = np.arange(total2, dtype=np.int64) - grp2 + 1
-    a = np.repeat(elem, counts)
-    return a, a + ramp2
-
-
-def _cell_bounds(*key_arrays):
-    """Run-length segment (starts, lens) over sorted key column(s)."""
-    n = len(key_arrays[0])
-    if n == 0:
-        z = np.empty(0, dtype=np.int64)
-        return z, z
-    change = np.zeros(n - 1, dtype=bool)
-    for k in key_arrays:
-        change |= k[1:] != k[:-1]
-    bounds = np.flatnonzero(np.r_[True, change, True])
-    return bounds[:-1], np.diff(bounds)
-
-
 #: below this input size the LSH pipelines coalesce the read into
 #: byte-derived blocks: Ray splits even a 5 MB file into ~2x-cpus read
 #: blocks, and a six-exchange pipeline over dozens of near-empty blocks
@@ -752,28 +646,17 @@ def _coalesce_small(ds):
     return ds
 
 
-def _distinct_pairs(candidates, extra_cols=(), num_buckets: int = 64):
-    """Distributed DISTINCT over (id_a, id_b): a pair that fired in many
-    bands lands in ONE bucket (pair-hash partitioning), so a per-bucket
-    vectorized drop_duplicates is globally exact. No driver collection."""
-    keep = ["id_a", "id_b", *extra_cols]
-
-    def fold(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates(subset=["id_a", "id_b"])[keep]
-
-    return bucketed(candidates, ["id_a", "id_b"], fold, num_buckets=num_buckets, batch_format="pandas")
-
-
 def _attach_pair_texts(ds, pairs, text_col: str, id_col: str,
-                       num_buckets: int = 64, prefilter_ids=None):
+                       num_buckets: int, prefilter_ids=None):
     """Hash-partitioned join of candidate pairs against the corpus.
 
     Pairs are exploded to one row per side ``(id_a, id_b, doc_id)`` and
     co-partitioned with the corpus ``(doc_id, text)`` rows by
-    ``hash(doc_id)``; a per-bucket vectorized fold attaches each side's
+    ``hash(doc_id)``; a per-bucket Arrow fold attaches each side's
     text. A second pair-hash exchange pivots the two sides together.
-    Document text flows batch->object store->fold -- never the driver
-    (the fix for round-1 VERDICT "What's wrong #1").
+    Both folds are Arrow, so the NULL-padded int64 id columns never
+    float through pandas. Document text flows batch->object
+    store->fold -- never the driver.
 
     ``prefilter_ids``: optional ObjectRef to a sorted numpy array of
     candidate doc ids; when present the corpus scan drops non-candidate
@@ -785,29 +668,29 @@ def _attach_pair_texts(ds, pairs, text_col: str, id_col: str,
     def explode(t: pa.Table) -> pa.Table:
         a = t.column("id_a")
         b = t.column("id_b")
+        n = len(t)
         return pa.table(
             {
                 "id_a": pa.chunked_array([a, a]),
                 "id_b": pa.chunked_array([b, b]),
                 "doc_id": pa.chunked_array([a, b]),
-                "text": pa.nulls(2 * len(t), pa.string()),
-                "__side": pa.array(np.ones(2 * len(t), dtype=np.int8)),
+                "text": pa.nulls(2 * n, pa.string()),
+                # 1: the row asks for id_a's text, 2: for id_b's
+                "__side": pa.array(np.repeat(np.array([1, 2], np.int8), n)),
             }
         )
 
     def corpus_rows(t: pa.Table) -> pa.Table:
-        ids = t.column(id_col)
+        t = keyed(t, id_col)
         if prefilter_ids is not None:
             cand = ray.get(prefilter_ids)
-            mask = np.isin(ids.to_numpy(zero_copy_only=False), cand)
-            t = t.filter(pa.array(mask))
-            ids = t.column(id_col)
+            t = t.filter(pa.array(np.isin(t.column(id_col).to_numpy(), cand)))
         n = len(t)
         return pa.table(
             {
                 "id_a": pa.nulls(n, pa.int64()),
                 "id_b": pa.nulls(n, pa.int64()),
-                "doc_id": ids.cast(pa.int64()),
+                "doc_id": t.column(id_col),
                 "text": t.column(text_col).cast(pa.string()),
                 "__side": pa.array(np.zeros(n, dtype=np.int8)),
             }
@@ -818,31 +701,29 @@ def _attach_pair_texts(ds, pairs, text_col: str, id_col: str,
     )
     sides = pairs.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
 
-    def attach(df: pd.DataFrame) -> pd.DataFrame:
-        texts = (
-            df[df["__side"] == 0].drop_duplicates(subset="doc_id").set_index("doc_id")["text"]
-        )
-        p = df[df["__side"] == 1]
-        return pd.DataFrame(
-            {
-                "id_a": p["id_a"].astype(np.int64),
-                "id_b": p["id_b"].astype(np.int64),
-                "doc_id": p["doc_id"],
-                "text": p["doc_id"].map(texts),
-            }
-        )
+    def attach(t: pa.Table) -> pa.Table:
+        side = t.column("__side")
+        corp = t.filter(pc.equal(side, 0))
+        asks = t.filter(pc.not_equal(side, 0))
+        # first corpus row per id, as a repeated id's first text
+        at = pc.index_in(asks.column("doc_id"), value_set=corp.column("doc_id").combine_chunks())
+        return asks.set_column(
+            asks.schema.get_field_index("text"), "text", corp.column("text").take(at)
+        ).drop_columns(["doc_id"])
 
     one_sided = bucketed(
-        corpus.union(sides), "doc_id", attach, num_buckets=num_buckets, batch_format="pandas"
+        corpus.union(sides), "doc_id", attach, num_buckets=num_buckets, batch_format="pyarrow"
     )
 
-    def pivot(df: pd.DataFrame) -> pd.DataFrame:
-        ta = df[df["doc_id"] == df["id_a"]][["id_a", "id_b", "text"]].rename(columns={"text": "text_a"})
-        tb = df[df["doc_id"] == df["id_b"]][["id_a", "id_b", "text"]].rename(columns={"text": "text_b"})
-        # a self-comparable corpus never has id_a == id_b (pairs are strict)
-        return ta.merge(tb, on=["id_a", "id_b"], how="inner")
+    def pivot(t: pa.Table) -> pa.Table:
+        side = t.column("__side")
+        ta = t.filter(pc.equal(side, 1)).select(["id_a", "id_b", "text"]).rename_columns(
+            ["id_a", "id_b", "text_a"])
+        tb = t.filter(pc.equal(side, 2)).select(["id_a", "id_b", "text"]).rename_columns(
+            ["id_a", "id_b", "text_b"])
+        return ta.join(tb, keys=["id_a", "id_b"], join_type="inner")
 
-    return bucketed(one_sided, ["id_a", "id_b"], pivot, num_buckets=num_buckets, batch_format="pandas")
+    return bucketed(one_sided, ["id_a", "id_b"], pivot, num_buckets=num_buckets, batch_format="pyarrow")
 
 
 def minhash_dedup_pairs(
@@ -870,16 +751,16 @@ def minhash_dedup_pairs(
     ``max_cell`` (default None = uncapped: full pair recall is the
     default contract, and it is what the hard oracle asserts) bounds
     per-LSH-cell pair enumeration -- all-pairs below the cap, chunked
-    all-pairs with a one-member overlap above (``_segment_pairs``).
-    Output stays O(m * max_cell) per hot cell; every emitted pair is a
-    genuine candidate that true-Jaccard verification judges on its own
-    merits, and the overlap chain keeps mutually-similar clusters
-    connected (the old star pattern's unverified hub could sever true
-    near-dups -- retired, round-3 VERDICT #1). Pair recall inside
-    giant cells is still partial (cross-chunk pairs are skipped), so
-    opt in for CONNECTIVITY-consuming pipelines (components/survivors;
-    the 5M stress pipeline does), not for exhaustive pair inventories.
-    Returns a Dataset of ``(id_a, id_b, jaccard)`` with id_a < id_b.
+    all-pairs with a one-member overlap above
+    (:func:`engine.lsh.collision_pairs`). Output stays O(m * max_cell)
+    per hot cell; every emitted pair is a genuine candidate that
+    true-Jaccard verification judges on its own merits, and the overlap
+    chain keeps mutually-similar clusters connected. Pair recall inside
+    giant cells is partial (cross-chunk pairs are skipped), so set it
+    only where the consumer needs connectivity (duplicate components),
+    not an exhaustive pair inventory.
+    Returns a Dataset of ``(id_a, id_b, jaccard)`` with int64 ids,
+    id_a < id_b; rows with a NULL id pair with nothing.
     """
     num_buckets = _pairs_buckets(ds, num_buckets)
     ds = _coalesce_small(ds)
@@ -903,324 +784,52 @@ def minhash_dedup_pairs(
         zero_copy_batch=True,
         fn_kwargs={"bands": bands, "id_col": id_col},
     )
-
-    # coarse-bucket the band rows so the shuffle produces ~num_buckets
-    # groups (ONE vectorized fold per bucket), not one Python call per
-    # distinct (band, hash) -- that would be O(corpus) tiny groups.
-    # num_buckets is data-derived above (bytes/8MB, floor 8, no cluster
-    # term), so small corpora don't pay near-empty partitions per stage
-    # and the dataflow is identical across cluster sizes.
-
-    def bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        # sort -> run-length (band, hash) cell boundaries -> ONE
-        # vectorized within-segment pair enumeration. max_cell bounds
-        # the boilerplate-cluster O(m^2) blowup (the classic LSH-dedup
-        # failure, found by the 5M-row stress run: 2.5e9 pairs from
-        # 1000-doc clusters) via overlapping chunks -- every emitted
-        # pair is a real candidate that downstream Jaccard verifies,
-        # and the overlap chain keeps a mutually-similar cluster
-        # connected (no unverified star hub).
-        df = df.sort_values(["band_id", "band_hash", id_col], kind="stable")
-        starts, lens = _cell_bounds(
-            df["band_id"].to_numpy(), df["band_hash"].to_numpy()
-        )
-        a, b = _segment_pairs(starts, lens, max_cell)
-        ids = df[id_col].to_numpy()
-        return pd.DataFrame(
-            {
-                "id_a": ids[a].astype(np.int64, copy=False),
-                "id_b": ids[b].astype(np.int64, copy=False),
-            }
-        ).drop_duplicates()
-
-    candidates = bucketed(
-        banded, "band_hash", bucket_pairs, num_buckets=num_buckets, batch_format="pandas"
-    )
-    # distinct candidate pairs (a pair can fire in many bands) --
-    # pair-hash-partitioned dedup, then pin: the pair set is the SMALL
-    # side (bounded by LSH collisions) and is consumed twice below.
-    cand = _distinct_pairs(candidates, num_buckets=num_buckets).materialize()
+    # pin the distinct candidates: the pair set is the SMALL side
+    # (bounded by LSH collisions) and is consumed twice below
+    cand = collision_pairs(
+        banded, ("band_id", "band_hash"), id_col, max_cell=max_cell, num_buckets=num_buckets
+    ).materialize()
     n_pairs = cand.count()
     if n_pairs == 0:
-        return ray.data.from_arrow(
-            pa.table({**_EMPTY_PAIRS, "jaccard": pa.array([], pa.float64())})
-        )
+        return ray.data.from_arrow(pa.table({
+            "id_a": pa.array([], pa.int64()), "id_b": pa.array([], pa.int64()),
+            "jaccard": pa.array([], pa.float64())}))
 
     prefilter_ids = None
     if 0 < n_pairs <= prefilter_limit:
         # ids only (8 B each, bounded by 2 x pairs) -- texts stay remote
-        ids_df = cand.to_pandas()
-        prefilter_ids = ray.put(
-            np.unique(np.concatenate([ids_df["id_a"].to_numpy(), ids_df["id_b"].to_numpy()]))
-        )
+        # (Ray may hand back column-less empty blocks: skip them)
+        blocks = cand.iter_batches(batch_format="pyarrow", batch_size=None)
+        prefilter_ids = ray.put(np.unique(np.concatenate(
+            [t.column(c).to_numpy() for t in blocks if t.num_rows for c in ("id_a", "id_b")]
+        )))
 
     with_texts = _attach_pair_texts(
         ds, cand, text_col, id_col, num_buckets=num_buckets, prefilter_ids=prefilter_ids
     )
 
-    def verify(df: pd.DataFrame) -> pd.DataFrame:
-        # exact Jaccard for the WHOLE pair batch in numpy (round-4
-        # VERDICT #1: this was the last per-pair Python fold). Shingle
-        # once per distinct DOC (a doc in a size-m dup cluster appears
-        # in up to m-1 pairs) into sorted-unique 64-bit hash arrays,
-        # then one sort-free rank-key intersection for all pairs
+    def verify(t: pa.Table) -> pa.Table:
+        # exact Jaccard for the WHOLE pair batch in numpy. Shingle once
+        # per distinct DOC (a doc in a size-m dup cluster appears in up
+        # to m-1 pairs) into sorted-unique 64-bit hash arrays, then one
+        # sort-free rank-key intersection for all pairs
         # (:func:`_pairwise_jaccard`). No set(), no pair loop.
-        ids = np.concatenate([df["id_a"].to_numpy(), df["id_b"].to_numpy()])
-        texts = pd.concat([df["text_a"], df["text_b"]]).to_numpy(dtype=object)
-        uids, first = np.unique(ids, return_index=True)
-        u, u_off = _doc_shingle_hash_sets(texts[first], shingle_k)
-        ia = np.searchsorted(uids, df["id_a"].to_numpy())
-        ib = np.searchsorted(uids, df["id_b"].to_numpy())
-        df = df.assign(jaccard=_pairwise_jaccard(u, u_off, ia, ib))
-        return df[df.jaccard >= threshold][["id_a", "id_b", "jaccard"]]
-
-    return with_texts.map_batches(verify, batch_format="pandas")
-
-
-def connected_components(pairs, ids_a="id_a", ids_b="id_b") -> dict:
-    """Duplicate-pair graph -> {doc_id: component_min_id} via union-find.
-
-    Driver-side small path (pairs fit driver memory); the scale path is
-    :func:`connected_components_distributed` (min-label propagation as
-    a Ray Data pipeline). :func:`drop_near_duplicates` auto-selects.
-    """
-    if hasattr(pairs, "to_pandas"):
-        pairs = pairs.to_pandas()
-    parent: dict = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    for a, b in zip(pairs[ids_a], pairs[ids_b]):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            lo, hi = (ra, rb) if ra <= rb else (rb, ra)
-            parent[hi] = lo
-    return {x: find(x) for x in set(parent)}
-
-
-def connected_components_distributed(pairs, num_buckets: int = 64, max_iter: int = 50):
-    """Distributed duplicate components: iterative min-label propagation
-    as a Ray Data pipeline (the scale path round-1 VERDICT asked for,
-    replacing the driver union-find past ~10^8 pairs).
-
-    labels(x) <- min(labels(x), min over neighbors labels(n)), iterated
-    to fixpoint. Each round is two hash-partitioned exchanges over
-    O(E + V) small integer rows; convergence is detected by the global
-    label sum (monotonically non-increasing, integral -> fixpoint
-    exactly when unchanged). Rounds needed = graph diameter; duplicate
-    clusters are near-cliques under LSH so this is small in practice.
-
-    Returns a Dataset ``(doc_id, root)`` covering every node that
-    appears in ``pairs`` (singletons never enter the pair graph).
-    """
-
-    def sym(t: pa.Table) -> pa.Table:
-        a = t.column("id_a").cast(pa.int64())
-        b = t.column("id_b").cast(pa.int64())
-        return pa.table(
-            {"node": pa.chunked_array([a, b]), "nbr": pa.chunked_array([b, a])}
+        id_a = t.column("id_a").to_numpy()
+        id_b = t.column("id_b").to_numpy()
+        texts = pa.chunked_array(
+            t.column("text_a").chunks + t.column("text_b").chunks, pa.string()
         )
-
-    edges = (
-        pairs.select_columns(["id_a", "id_b"])
-        .map_batches(sym, batch_format="pyarrow", zero_copy_batch=True)
-        .materialize()
-    )
-
-    # round 0: label(x) = min(x, neighbors) in one exchange
-    def init_fold(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("node", sort=False)["nbr"].min()
-        lbl = np.minimum(g.index.to_numpy(), g.to_numpy())
-        return pd.DataFrame({"node": g.index.to_numpy(), "label": lbl})
-
-    def pin(ds_):
-        # coalesce to a FIXED block count then hard-truncate lineage:
-        # without this, union(labels, proposals) doubles the block count
-        # every round (sort shuffles emit as many blocks as they get)
-        # and the accumulated plan re-optimizes quadratically -- block
-        # explosion measured 3 -> 1023 blocks in 8 rounds before the fix.
-        m = ds_.repartition(num_buckets).materialize()
-        return ray.data.from_arrow_refs(m.to_arrow_refs())
-
-    def exchange(ds_, by, fold):
-        return bucketed(ds_, by, fold, num_buckets=num_buckets, batch_format="pandas")
-
-    labels = pin(exchange(edges, "node", init_fold))
-    prev_sum = labels.sum("label")
-
-    for _ in range(max_iter):
-        # hop 1: edges keyed by nbr meet labels keyed by node -> each
-        # edge row learns its neighbor's current label
-        def tag_edge(t: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "key": t.column("nbr"),
-                    "node": t.column("node"),
-                    "label": pa.nulls(len(t), pa.int64()),
-                }
-            )
-
-        def tag_label(t: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "key": t.column("node"),
-                    "node": pa.nulls(len(t), pa.int64()),
-                    "label": t.column("label"),
-                }
-            )
-
-        def relabel(df: pd.DataFrame) -> pd.DataFrame:
-            lbl = df[df["node"].isna()].set_index("key")["label"]
-            e = df[df["node"].notna()]
-            return pd.DataFrame(
-                {
-                    "node": e["node"].astype(np.int64),
-                    "label": e["key"].map(lbl).astype(np.int64),
-                }
-            )
-
-        proposals = exchange(
-            edges.map_batches(tag_edge, batch_format="pyarrow", zero_copy_batch=True)
-            .union(labels.map_batches(tag_label, batch_format="pyarrow", zero_copy_batch=True)),
-            "key",
-            relabel,
+        uids, first = np.unique(np.concatenate([id_a, id_b]), return_index=True)
+        u, u_off = _doc_shingle_hash_sets(texts.take(first).to_pylist(), shingle_k)
+        jac = _pairwise_jaccard(
+            u, u_off, np.searchsorted(uids, id_a), np.searchsorted(uids, id_b)
         )
+        keep = jac >= threshold
+        return pa.table({"id_a": pa.array(id_a[keep], pa.int64()),
+                         "id_b": pa.array(id_b[keep], pa.int64()),
+                         "jaccard": pa.array(jac[keep], pa.float64())})
 
-        # hop 2: min over (own label, neighbor proposals) per node
-        def min_fold(df: pd.DataFrame) -> pd.DataFrame:
-            g = df.groupby("node", sort=False)["label"].min()
-            return pd.DataFrame({"node": g.index.to_numpy(), "label": g.to_numpy()})
-
-        labels = pin(exchange(labels.union(proposals), "node", min_fold))
-
-        # pointer jumping: label(x) <- label(label(x)). Labels are node
-        # ids and label(y) <= y (monotone), so the same keyed-union
-        # relabel resolves it and path lengths halve -> O(log diameter)
-        # rounds even for chain-shaped duplicate clusters.
-        def tag_ptr(t: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "key": t.column("label"),
-                    "node": t.column("node"),
-                    "label": pa.nulls(len(t), pa.int64()),
-                }
-            )
-
-        jumped = exchange(
-            labels.map_batches(tag_ptr, batch_format="pyarrow", zero_copy_batch=True)
-            .union(labels.map_batches(tag_label, batch_format="pyarrow", zero_copy_batch=True)),
-            "key",
-            relabel,
-        )
-        labels = pin(exchange(labels.union(jumped), "node", min_fold))
-        cur_sum = labels.sum("label")
-        if cur_sum == prev_sum:
-            break
-        prev_sum = cur_sum
-
-    def rename(t: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": t.column("node"), "root": t.column("label")})
-
-    return labels.map_batches(rename, batch_format="pyarrow", zero_copy_batch=True)
-
-
-#: above this many candidate pairs, drop_near_duplicates switches from
-#: the driver union-find + broadcast filter to the fully distributed
-#: propagation + anti-join path.
-DRIVER_PAIR_LIMIT = 5_000_000
-
-
-def drop_near_duplicates(ds, pairs, id_col: str = "doc_id", pair_limit: int = DRIVER_PAIR_LIMIT):
-    """Keep one survivor (the min id) per duplicate component; every
-    other member of a component is dropped.
-
-    Small path (<= ``pair_limit`` pairs): driver union-find + broadcast
-    loser array, no corpus shuffle. Scale path: distributed min-label
-    propagation + hash-partitioned anti-join (corpus rides one
-    exchange, driver holds nothing)."""
-    if isinstance(pairs, ray.data.Dataset):
-        pairs = pairs.materialize()
-        n_pairs = pairs.count()
-        if n_pairs == 0:
-            # zero-block pairs Dataset: to_pandas() drops the id columns
-            # (the documented empty-Dataset hazard) -- and no pairs
-            # means no duplicates anyway
-            return ds
-        if n_pairs > pair_limit:
-            return drop_near_duplicates_shuffle(ds, pairs, id_col)
-    roots = connected_components(pairs)
-    losers = np.array([k for k, r in roots.items() if k != r])
-    losers_ref = ray.put(losers)
-
-    def keep(t: pa.Table) -> pa.Table:
-        ids = t.column(id_col).to_numpy(zero_copy_only=False)
-        drop = ray.get(losers_ref)
-        return t.filter(pa.array(~np.isin(ids, drop)))
-
-    return ds.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def drop_near_duplicates_shuffle(ds, pairs, id_col: str = "doc_id", num_buckets: int = 64):
-    """Scale-path survivor filter: loser ids from distributed
-    components, then an anti-join fold co-partitioned on ``hash(id)``.
-    Costs one full-row corpus exchange (like MERGE); driver-resident
-    state is zero."""
-    comps = connected_components_distributed(pairs, num_buckets=num_buckets)
-    # vectorized: this is the SCALE path (>5M pairs), where a per-row
-    # Python lambda filter would make millions of interpreter calls
-    losers = comps.map_batches(
-        lambda t: t.filter(pc.not_equal(t.column("doc_id"), t.column("root"))).select(
-            ["doc_id"]
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-
-    marker = "__is_loser"
-
-    def tag_corpus(t: pa.Table) -> pa.Table:
-        return t.append_column(marker, pa.array(np.zeros(len(t), dtype=np.int8)))
-
-    # capture plain (names, types) driver-side: closing over ``ds``
-    # would cloudpickle the entire upstream Dataset plan into every
-    # map task (ADVICE r2)
-    schema = ds.schema()
-    corpus_cols = list(schema.names)
-    schema_items = list(zip(schema.names, schema.types))
-
-    def tag_losers(t: pa.Table) -> pa.Table:
-        cols = {}
-        for n, typ in schema_items:
-            if n == id_col:
-                cols[n] = t.column("doc_id").cast(typ)
-            else:
-                cols[n] = pa.nulls(len(t), typ)
-        cols[marker] = pa.array(np.ones(len(t), dtype=np.int8))
-        return pa.table(cols)
-
-    def anti(t: pa.Table) -> pa.Table:
-        # Arrow end-to-end: the previous pandas fold floated every int64
-        # payload column in any bucket holding a loser row (tag_losers
-        # emits nulls), silently rounding values beyond 2^53 and
-        # drifting the survivor schema to double
-        m = t.column(marker).to_numpy(zero_copy_only=False)
-        ids = t.column(id_col).to_numpy(zero_copy_only=False)
-        bad = np.unique(ids[m == 1])
-        keep = (m == 0) & ~np.isin(ids, bad)
-        return t.filter(pa.array(keep)).select(corpus_cols)
-
-    return bucketed(
-        ds.map_batches(tag_corpus, batch_format="pyarrow", zero_copy_batch=True)
-        .union(losers.map_batches(tag_losers, batch_format="pyarrow", zero_copy_batch=True)),
-        id_col,
-        anti,
-        num_buckets=num_buckets,
-        batch_format="pyarrow",
-    )
+    return with_texts.map_batches(verify, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -1362,9 +971,13 @@ def simhash_signatures(ds, text_col="text", id_col="doc_id", hasher="fast"):
 
 
 def hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x = np.bitwise_xor(a.astype(np.uint64), b.astype(np.uint64))
-    # popcount via unpackbits on the byte view
-    return np.unpackbits(x.view(np.uint8).reshape(len(x), 8), axis=1).sum(axis=1)
+    """int64 popcount of ``a ^ b`` by SWAR bit counting: ~8x faster than
+    unpacking the bits, on the millions of pairs a simhash fold scores."""
+    x = np.bitwise_xor(a.astype(np.uint64, copy=False), b.astype(np.uint64, copy=False))
+    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
+    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
+    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
 
 
 def simhash_dup_pairs(ds, max_hamming: int = 3, text_col="text", id_col="doc_id", sigs=None, hasher="fast", max_cell=None, num_buckets=None):
@@ -1382,11 +995,13 @@ def simhash_dup_pairs(ds, max_hamming: int = 3, text_col="text", id_col="doc_id"
     operator's contract and large radii make band keys narrow -- at
     max_hamming=8 the key is 7 bits, so ordinary corpora produce
     rightly-large collision cells) optionally caps per-cell all-pairs
-    enumeration with overlapping chunks (``_segment_pairs``) -- the
-    boilerplate-cluster O(m^2) guard of :func:`minhash_dedup_pairs`;
+    enumeration with overlapping chunks (:func:`engine.lsh.collision_pairs`)
+    -- the boilerplate-cluster O(m^2) guard of :func:`minhash_dedup_pairs`;
     every emitted pair still carries its TRUE Hamming distance. Set it
     for dedup pipelines that only consume connectivity, never for pair
     inventories (cross-chunk pairs are skipped).
+    Returns a Dataset of ``(id_a, id_b, hamming)`` with int64 ids,
+    id_a < id_b; rows with a NULL id pair with nothing.
     """
     if not 0 <= max_hamming <= 31:
         # the pigeonhole full-recall guarantee needs max_hamming+1 bands
@@ -1403,8 +1018,9 @@ def simhash_dup_pairs(ds, max_hamming: int = 3, text_col="text", id_col="doc_id"
         sigs = simhash_signatures(_coalesce_small(ds), text_col, id_col, hasher=hasher)
 
     def band_rows(t: pa.Table) -> pa.Table:
+        t = keyed(t, id_col)
         s = t.column("simhash").to_numpy(zero_copy_only=False).astype(np.uint64)
-        doc_ids = t.column(id_col).to_numpy(zero_copy_only=False)
+        doc_ids = t.column(id_col).to_numpy()
         bands_out, keys = [], []
         for bidx in range(n_bands):
             lo = bidx * width
@@ -1416,41 +1032,20 @@ def simhash_dup_pairs(ds, max_hamming: int = 3, text_col="text", id_col="doc_id"
             {
                 "band_id": pa.array(np.concatenate(bands_out)),
                 "band_key": pa.array(np.concatenate(keys), type=pa.uint64()),
-                id_col: pa.array(np.tile(doc_ids, n_bands)),
+                id_col: pa.array(np.tile(doc_ids, n_bands), pa.int64()),
                 "simhash": pa.array(np.tile(s, n_bands), type=pa.uint64()),
             }
         )
 
+    def score(t: pa.Table, a: np.ndarray, b: np.ndarray):
+        sh = t.column("simhash").to_numpy()
+        ham = hamming64(sh[a], sh[b])
+        return ham <= max_hamming, {"hamming": ham}
+
     banded = sigs.map_batches(band_rows, batch_format="pyarrow", zero_copy_batch=True)
-
-    def bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        # pairs only within exact (band_id, band_key) collision cells:
-        # sort -> run-length boundaries -> one vectorized enumeration
-        # (no per-cell Python); hot cells chunk with a one-member
-        # overlap (see _segment_pairs) instead of the old star pattern
-        df = df.sort_values(["band_id", "band_key", id_col], kind="stable")
-        starts, lens = _cell_bounds(
-            df["band_id"].to_numpy(), df["band_key"].to_numpy()
-        )
-        ia, ib = _segment_pairs(starts, lens, max_cell)
-        ids = df[id_col].to_numpy()
-        sh = df["simhash"].to_numpy().astype(np.uint64, copy=False)
-        ham = hamming64(sh[ia], sh[ib])
-        keep = ham <= max_hamming
-        return pd.DataFrame(
-            {
-                "id_a": ids[ia[keep]].astype(np.int64, copy=False),
-                "id_b": ids[ib[keep]].astype(np.int64, copy=False),
-                "hamming": ham[keep].astype(np.int64, copy=False),
-            }
-        )
-
-    pairs = bucketed(
-        banded, "band_key", bucket_pairs, num_buckets=num_buckets, batch_format="pandas"
+    return collision_pairs(
+        banded, ("band_id", "band_key"), id_col, score, max_cell=max_cell, num_buckets=num_buckets
     )
-    # distributed distinct (a pair can collide in several bands); stays
-    # an object-store Dataset -- nothing lands on the driver
-    return _distinct_pairs(pairs, extra_cols=("hamming",), num_buckets=num_buckets)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """The one bucket exchange: hash-partition a Dataset, fold each bucket.
 
 Every keyed all-to-all in the engine (MERGE, the as-of join, windows,
-grouped top-k, the dedup and LSH pipelines, line dedup, component
-propagation) is the same three steps, and :func:`bucketed` owns them:
+grouped top-k, the dedup and LSH pipelines, line dedup) is the same
+three steps, and :func:`bucketed` owns them:
 
 1. one ``map_batches`` appends ``__bucket = hash(by) % num_buckets``
    (an empty batch gets an empty column, whatever its schema);

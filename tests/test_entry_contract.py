@@ -452,6 +452,61 @@ def test_adversarial_emb_parity(adversarial_emb_sf, name):
 
 
 # ---------------------------------------------------------------------------
+# id-edge parity: NULL ids and int64 ids beyond 2^53 in the pair queries
+# ---------------------------------------------------------------------------
+
+#: ids a float64 cannot hold apart (2^53+1, 2^53+3 and 2^60+1 round to
+#: neighbours), one small id, and NULL -- all on near-duplicate rows
+EDGE_IDS = [2**53 + 1, 2**53 + 3, 2**60 + 1, 5, None]
+
+PAIR_QUERIES = ["minhash_pairs", "simhash_pairs", "lsh_embed_pairs", "embed_dup_pairs"]
+
+
+@pytest.fixture(scope="module")
+def id_edge_sf(tmp_path_factory):
+    """documents.parquet and embeddings.parquet whose near-duplicate
+    rows carry the ``EDGE_IDS``; two unrelated rows with small ids."""
+    root = tmp_path_factory.mktemp("idedge")
+    other = [(7, "completely different words about volcanoes and geology fieldwork today"),
+             (9, "another unrelated note on query planners and cost based optimizers")]
+    ids = EDGE_IDS + [i for i, _ in other]
+    texts = [QUALITY_PASS] * len(EDGE_IDS) + [t for _, t in other]
+    _write_documents(root, ids, texts, ["en"] * len(ids))
+    rng = np.random.default_rng(3)
+    base = np.array([1.0, -2.0, 1.5, -0.5, 2.0, 1.0, -1.0, 0.5], np.float32)
+    vecs = [base + 1e-3 * rng.standard_normal(8).astype(np.float32) for _ in EDGE_IDS]
+    vecs += [-base, np.roll(base, 3)]
+    pq.write_table(pa.table({
+        "vec_id": pa.array(ids, pa.int64()),
+        "embedding": pa.array([v.tolist() for v in vecs], pa.list_(pa.float32())),
+        "label": pa.array([0] * len(ids), pa.int32()),
+    }), str(root / "embeddings.parquet"))
+    return str(root)
+
+
+@pytest.mark.parametrize("name", PAIR_QUERIES)
+def test_id_edge_pair_parity(id_edge_sf, name):
+    """Each pair query equals its oracle EXACTLY on ids a float64
+    cannot tell apart and on a NULL id: no float detour may merge or
+    mint ids, and a NULL id pairs with nothing (SQL ``a.id < b.id``)."""
+    got = entry_mod.queries()[name](id_edge_sf)
+    if not isinstance(got, pd.DataFrame):
+        got = got.to_pandas()
+    con = duckdb.connect()
+    for t in ("documents", "embeddings"):
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{id_edge_sf}/{t}.parquet')")
+    want = con.execute(entry_mod.oracle_sql()[name]).fetch_arrow_table()
+    cols = sorted(want.column_names)
+    assert sorted(got.columns) == cols
+    assert all(got[c].dtype == np.int64 for c in cols), got.dtypes
+    g = sorted(tuple(int(x) for x in r) for r in got[cols].itertuples(index=False))
+    w = sorted(tuple(r[c] for c in cols) for r in want.to_pylist())
+    assert g == w
+    # the four near-dups pair among themselves: C(4, 2) pairs
+    assert len(w) == 6, w
+
+
+# ---------------------------------------------------------------------------
 # review-finding regressions (engine-level)
 # ---------------------------------------------------------------------------
 

@@ -136,3 +136,17 @@ def test_no_exchange_is_hand_rolled_outside_exchange_module():
             if ".map_groups(" in line or re.search(r"""["']__bucket["']""", line):
                 offenders.append(f"{path.name}:{n}: {line.strip()}")
     assert not offenders, offenders
+
+
+def test_no_collision_fold_is_hand_rolled_outside_lsh_module():
+    """Candidate pairs come from ``engine.lsh.collision_pairs`` only: no
+    other engine module (nor the driver entry) names its cell cutter or
+    pair enumerator."""
+    offenders = []
+    for path in [*sorted(ENGINE.glob("*.py")), ENGINE.parent / "__ray_entry__.py"]:
+        if path.name == "lsh.py":
+            continue
+        for n, line in enumerate(path.read_text().splitlines(), 1):
+            if re.search(r"\b(_segment_pairs|_cell_bounds)\b", line):
+                offenders.append(f"{path.name}:{n}: {line.strip()}")
+    assert not offenders, offenders

@@ -32,8 +32,6 @@ ALLOWED = {
     "dump_csv": "SURVEY ledger row S5",
     "bloom_semi_join": "ledger row J1; planned caller: touched-file MERGE (ROADMAP direction 10)",
     "broadcast_semi_join": "ledger row J1; planned caller: touched-file MERGE (ROADMAP direction 10)",
-    "connected_components": "reference that connected_components_distributed is tested against",
-    "drop_near_duplicates": "reference that drop_near_duplicates_shuffle is tested against",
 }
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

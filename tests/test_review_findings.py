@@ -230,46 +230,6 @@ def test_csv_ingest_quarantines_unreadable_file(tmp_path, ray_session):
     assert len(ds.to_pandas()) == 1
 
 
-def test_dedup_shuffle_path_preserves_int64_beyond_2_53(ray_session):
-    """The shuffle anti-join must not float int64 payload columns in
-    loser-bearing buckets (silent rounding beyond 2^53)."""
-    import numpy as np
-
-    from engine.dedup import drop_near_duplicates_shuffle
-
-    big = 2**53 + 1
-    corpus = pa.table(
-        {
-            "doc_id": pa.array([1, 2, 3], pa.int64()),
-            "crawl_id": pa.array([big, big + 2, big + 4], pa.int64()),
-            "text": pa.array(["a", "a", "b"], pa.string()),
-        }
-    )
-    prs = ray.data.from_arrow(
-        pa.table({"id_a": pa.array([1], pa.int64()), "id_b": pa.array([2], pa.int64())})
-    )
-    out = drop_near_duplicates_shuffle(
-        ray.data.from_arrow(corpus), prs, num_buckets=2
-    ).to_pandas()
-    out = out.sort_values("doc_id").reset_index(drop=True)
-    assert list(out.doc_id) == [1, 3]
-    assert out.crawl_id.dtype.kind == "i"
-    assert list(out.crawl_id) == [big, big + 4]
-
-
-def test_drop_near_duplicates_empty_pairs(ray_session):
-    from engine.dedup import drop_near_duplicates
-
-    corpus = ray.data.from_arrow(
-        pa.table({"doc_id": pa.array([1, 2], pa.int64()), "text": pa.array(["a", "b"])})
-    )
-    empty_pairs = ray.data.from_arrow(
-        pa.table({"id_a": pa.array([], pa.int64()), "id_b": pa.array([], pa.int64())})
-    ).filter(lambda r: False)
-    out = drop_near_duplicates(corpus, empty_pairs).to_pandas()
-    assert len(out) == 2
-
-
 def test_cosine_dup_pairs_empty_corpus(ray_session):
     from engine.similarity import cosine_dup_pairs, filter_valid_vectors
 

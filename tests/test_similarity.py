@@ -181,7 +181,7 @@ def test_lsh_hot_cell_cap_linear_output_and_connected(ray_session):
     # whole in one signature cell -> uncapped output is O(m^2) pairs;
     # max_cell must bound it to O(m * max_cell) while keeping the
     # cluster one connected component with every pair cosine-verified.
-    from engine.dedup import connected_components
+    from dedup_oracle import connected_components
 
     rng = np.random.default_rng(3)
     base = rng.standard_normal(16)
